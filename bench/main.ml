@@ -865,6 +865,30 @@ let time_ns ~iters fn =
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) *. 1e9 /. float_of_int iters
 
+(* E23's eval workloads, (name, iterations, structure, sentence): the E1
+   workloads at the acceptance point n = 40, k = 3, and the E13 naive
+   O(n^2) baseline of Theorem 3.11. E25 re-times them under a budget. *)
+let e23_eval_workloads () =
+  [
+    ("E1 nested-quantifier n=40 k=3", 30, Gen.set 40, nested_forall 3);
+    ( "E1 alternating n=40 k=3",
+      30,
+      Gen.random_graph ~rng:(rng ()) 40 0.5,
+      f "forall x. exists y. forall z. x = y | E(x,z) | E(z,y) | z != z" );
+    ( "E1 alternating n=32 k=2",
+      100,
+      Gen.random_graph ~rng:(rng ()) 32 0.5,
+      f "forall x. exists y. E(x,y) | E(y,x)" );
+    ( "E13 successor-sentence cycle n=1024",
+      30,
+      Gen.cycle 1024,
+      f "forall x. exists y. E(x,y)" );
+    ( "E13 successor-sentence cycle n=256",
+      100,
+      Gen.cycle 256,
+      f "forall x. exists y. E(x,y)" );
+  ]
+
 type e23_entry = {
   name : string;
   kind : string; (* "eval" or "ef" *)
@@ -886,22 +910,9 @@ let e23 () =
     pf "  %-36s %12.0f %12.0f %8.1fx@." name naive compiled (naive /. compiled);
     record name "eval" naive compiled
   in
-  (* The E1 workloads at the acceptance point n = 40, k = 3. *)
-  eval_workload ~iters:30 "E1 nested-quantifier n=40 k=3" (Gen.set 40)
-    (nested_forall 3);
-  eval_workload ~iters:30 "E1 alternating n=40 k=3"
-    (Gen.random_graph ~rng:(rng ()) 40 0.5)
-    (f "forall x. exists y. forall z. x = y | E(x,z) | E(z,y) | z != z");
-  eval_workload ~iters:100 "E1 alternating n=32 k=2"
-    (Gen.random_graph ~rng:(rng ()) 32 0.5)
-    (f "forall x. exists y. E(x,y) | E(y,x)");
-  (* The E13 workload: the naive O(n^2) baseline of Theorem 3.11. *)
-  eval_workload ~iters:30 "E13 successor-sentence cycle n=1024"
-    (Gen.cycle 1024)
-    (f "forall x. exists y. E(x,y)");
-  eval_workload ~iters:100 "E13 successor-sentence cycle n=256"
-    (Gen.cycle 256)
-    (f "forall x. exists y. E(x,y)");
+  List.iter
+    (fun (name, iters, g, phi) -> eval_workload ~iters name g phi)
+    (e23_eval_workloads ());
   pf "@.EF solver: sequential vs parallel root fan-out (%d domains available):@."
     (Domain.recommended_domain_count ());
   pf "  %-36s %12s %12s %9s@." "game" "seq ns" "par ns" "speedup";
@@ -1206,6 +1217,45 @@ let e25 () =
     implied_pct;
   pf "Shape: implied overhead ≤ 2%% at the default interval; wall-clock@.";
   pf "deltas below the ±5%% noise floor are not meaningful on their own.@.";
+  (* (c) compiled FO evaluation: E23's eval workloads with no budget vs
+     a live deadline budget at the default poll interval (one check per
+     quantifier-scan entry). Each sample runs ~20 ms; the two
+     configurations alternate which goes first. Median and min/max. *)
+  let samples = 21 in
+  let spread xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    (a.(Array.length a / 2), a.(0), a.(Array.length a - 1))
+  in
+  let eval_rows =
+    List.map
+      (fun (name, _, g, phi) ->
+        let ct = Compiled.compile g phi in
+        let run budget () = Compiled.run ?budget ct [||] in
+        let iters = max 1 (int_of_float (2e7 /. time_ns ~iters:1 (run None))) in
+        let timed budget = time_ns ~iters (run budget) in
+        let un = ref [] and bud = ref [] in
+        for i = 1 to samples do
+          let deadline = Budget.create ~deadline_in:3600.0 ~poll_interval:256 () in
+          let sample_un () = un := timed None :: !un in
+          let sample_bud () = bud := timed (Some deadline) :: !bud in
+          if i mod 2 = 0 then (sample_un (); sample_bud ())
+          else (sample_bud (); sample_un ())
+        done;
+        (name, spread !un, spread !bud))
+      (e23_eval_workloads ())
+  in
+  let overhead (un, _, _) (bud, _, _) = (bud -. un) /. un *. 100.0 in
+  pf "@.Compiled FO evaluation, E23 eval workloads (median [min, max] of %d):@."
+    samples;
+  pf "  %-36s %32s %32s %9s@." "workload" "no budget ns [min, max]"
+    "deadline/256 ns [min, max]" "overhead";
+  List.iter
+    (fun (name, ((m, lo, hi) as un), ((bm, blo, bhi) as bud)) ->
+      pf "  %-36s %9.0f [%9.0f, %9.0f] %9.0f [%9.0f, %9.0f] %8.2f%%@." name m
+        lo hi bm blo bhi (overhead un bud))
+    eval_rows;
+  pf "Shape: median overhead ≤ 5%% on every workload.@.";
   match !json_path with
   | None -> ()
   | Some path ->
@@ -1225,8 +1275,22 @@ let e25 () =
         !min_un !min_b256 !min_b1;
       out oc
         "  \"wall_overhead_pct\": {\"interval256\": %.2f, \"interval1\": \
-         %.2f}\n}\n"
+         %.2f},\n"
         (pct !min_b256) (pct !min_b1);
+      let ns_json (m, lo, hi) =
+        Printf.sprintf "{\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}" m lo hi
+      in
+      out oc "  \"compiled_eval\": {\n    \"samples\": %d,\n    \"workloads\": [\n"
+        samples;
+      List.iteri
+        (fun i (name, un, bud) ->
+          out oc
+            "      {\"name\": %S, \"no_budget_ns\": %s, \"deadline256_ns\": \
+             %s, \"median_overhead_pct\": %.2f}%s\n"
+            name (ns_json un) (ns_json bud) (overhead un bud)
+            (if i = List.length eval_rows - 1 then "" else ","))
+        eval_rows;
+      out oc "    ]\n  }\n}\n";
       close_out oc;
       pf "Wrote %s@." path
 
@@ -2237,7 +2301,7 @@ let sections =
     ("E22", "counting quantifiers and aggregates", e22);
     ("E23", "compiled FO engine + parallel EF: speedup table", e23);
     ("E24", "symmetry-pruned EF search: orbit x parallel grid", e24);
-    ("E25", "budget poll overhead on the rigid-order EF workload", e25);
+    ("E25", "budget poll overhead: rigid-order EF search and compiled FO eval", e25);
     ("E26", "engine port timings + C^k vs k-WL agreement + CFI certificate", e26);
     ("E27", "serve: closed-loop load, faults on/off, shed/drain discipline", e27);
     ("E28", "million-element locality: streaming census + sharded 1-WL", e28);

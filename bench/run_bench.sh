@@ -2,7 +2,8 @@
 # Run the perf-tracking benchmarks and leave machine-readable trails:
 #   E23 -> BENCH_eval.json   (naive vs compiled eval, sequential vs parallel EF)
 #   E24 -> BENCH_games.json  (orbit pruning x parallel fan-out grid)
-#   E25 -> BENCH_budget.json (budget poll overhead on the rigid-order workload)
+#   E25 -> BENCH_budget.json (budget poll overhead on the rigid-order EF
+#                             workload and on E23's compiled eval workloads)
 #   E26 -> BENCH_engine.json (engine-ported solver timings, C^k vs k-WL
 #                             agreement grid, CFI certificate)
 #   E27 -> BENCH_serve.json  (closed-loop serve load, faults on/off:

@@ -17,7 +17,7 @@ module Structure_io = Fmtk_structure.Structure_io
 module Tuple = Fmtk_structure.Tuple
 module Gen = Fmtk_structure.Gen
 module Graph = Fmtk_structure.Graph
-module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 module Compile = Fmtk_db.Compile
 module Algebra = Fmtk_db.Algebra
 module Planner = Fmtk_db.Planner
@@ -182,7 +182,7 @@ let eval_cmd =
         if use_ra then
           if any then Compile.sat_any ~budget s phi
           else Compile.sat ~budget s phi
-        else Ok (Eval.sat s phi)
+        else Ok (Compiled.sat ~budget s phi)
       in
       match v with
       | Error (`Msg _) as e -> e
@@ -194,7 +194,7 @@ let eval_cmd =
         if use_ra then
           if any then Compile.answers_any ~budget s phi
           else Compile.answers ~budget s phi
-        else Ok (Eval.answers s phi)
+        else Ok (Compiled.answers ~budget s phi)
       in
       match v with
       | Error (`Msg _) as e -> e
@@ -551,7 +551,7 @@ let qbf_cmd =
     exec @@ fun () ->
     let q = Fmtk_qbf.Qbf.pigeonhole_valid n in
     let direct = Fmtk_qbf.Qbf.solve ~budget q in
-    let via_fo = Fmtk_qbf.Reduction.decide_via_fo q in
+    let via_fo = Fmtk_qbf.Reduction.decide_via_fo ~budget q in
     Format.printf
       "pigeonhole(%d): %d quantifiers, QBF solver: %b, via FO model \
        checking: %b@."

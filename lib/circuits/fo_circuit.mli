@@ -20,9 +20,6 @@ type compiled
     domain elements). *)
 val compile : Fmtk_logic.Signature.t -> size:int -> Formula.t -> compiled
 
-(** Ground-atom input name: [R(d1,..,dk)] is ["R:d1,..,dk"]. *)
-val atom_input : string -> int array -> string
-
 (** Run the compiled circuit on a structure of the compiled size.
     @raise Invalid_argument on size mismatch. *)
 val run : compiled -> Structure.t -> bool

@@ -2,7 +2,7 @@ module Structure = Fmtk_structure.Structure
 module Signature = Fmtk_logic.Signature
 module Formula = Fmtk_logic.Formula
 module Tuple = Fmtk_structure.Tuple
-module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 
 let with_order s ~perm =
   if Signature.mem_rel (Structure.signature s) "lt" then
@@ -34,7 +34,7 @@ let rec permutations = function
           List.map (fun p -> x :: p) (permutations rest))
         l
 
-let eval_under s phi perm = Eval.sat (with_order s ~perm) phi
+let eval_under s phi perm = Compiled.sat (with_order s ~perm) phi
 
 let invariant_exhaustive s phi =
   let n = Structure.size s in

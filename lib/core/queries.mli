@@ -34,7 +34,7 @@ val same_generation : Structure.t -> Tuple.Set.t
 
 (** {1 FO-expressible controls}
 
-    Each comes as a formula and is evaluated via {!Fmtk_eval.Eval}; they
+    Each comes as a formula and is evaluated via {!Fmtk_eval.Compiled}; they
     pass every locality test — the contrast that powers experiments
     E9–E12. *)
 

@@ -8,9 +8,6 @@ type literal = Pos of atom | Neg of atom
 type rule = { head : atom; body : literal list }
 type program = rule list
 
-(** Variables of an atom. *)
-val atom_vars : atom -> string list
-
 (** Range restriction: every head variable and every variable of a negated
     literal occurs in some positive body literal. Returns an offending
     variable if violated. *)

@@ -145,9 +145,9 @@ let rewrite db e = rw db e
 
 type rstat = { rows : int; distinct : int array }
 
+(* Per-relation row counts and exact per-column distinct counts,
+   computed lazily per relation and cached for one planning run. *)
 type stats = { stbl : (string, rstat) Hashtbl.t; sdb : Database.t }
-
-let stats_of_database db = { stbl = Hashtbl.create 8; sdb = db }
 
 let rstat st name =
   match Hashtbl.find_opt st.stbl name with
@@ -250,8 +250,8 @@ let gyo (edges : SSet.t array) =
   done;
   if !removed = n - 1 then Some (List.rev !order) else None
 
-let plan ?stats db e =
-  let st = match stats with Some s -> s | None -> stats_of_database db in
+let plan db e =
+  let st = { stbl = Hashtbl.create 8; sdb = db } in
   let next_id = ref 0 in
   let cached p =
     let id = !next_id in
@@ -891,10 +891,10 @@ type explanation = {
   physical : Physical.t;
 }
 
-let explain ?stats db e =
+let explain db e =
   match rewrite db e with
   | exception Schema_error m -> Error m
   | opt -> (
-      match plan ?stats db opt with
+      match plan db opt with
       | Error m -> Error m
       | Ok p -> Ok { logical = e; optimized = opt; physical = p })

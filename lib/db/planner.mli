@@ -15,16 +15,9 @@
     @raise Algebra.Schema_error on unknown base relations. *)
 val rewrite : Algebra.Database.t -> Algebra.expr -> Algebra.expr
 
-(** Cardinality statistics: per-relation row counts and exact per-column
-    distinct counts, computed lazily per relation and cached. *)
-type stats
-
-val stats_of_database : Algebra.Database.t -> stats
-
 (** Rewrite + translate to a physical plan. Total: schema-level problems
     (unknown relations/attributes) come back as [Error]. *)
 val plan :
-  ?stats:stats ->
   Algebra.Database.t ->
   Algebra.expr ->
   (Physical.t, string) result
@@ -36,7 +29,6 @@ type explanation = {
 }
 
 val explain :
-  ?stats:stats ->
   Algebra.Database.t ->
   Algebra.expr ->
   (explanation, string) result

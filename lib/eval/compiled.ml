@@ -4,13 +4,33 @@ module Signature = Fmtk_logic.Signature
 module Structure = Fmtk_structure.Structure
 module Index = Fmtk_structure.Index
 module Tuple = Fmtk_structure.Tuple
+module Budget = Fmtk_runtime.Budget
+
+(* A running budget's poller plus a local countdown of its poll window.
+   Counting here and calling [Budget.poll] once per window is
+   [Budget.check] per step without a call per quantifier scan: dune's
+   dev profile compiles with -opaque, so [Budget.check] is never inlined
+   here, and on short scans that call is measurable (E25). *)
+type gate = { poller : Budget.poller; window : int; mutable left : int }
 
 type t = {
-  structure : Structure.t;
+  size : int;
   free : string list; (* slot order of the free variables *)
   nslots : int;
   code : int array -> bool;
+  gate : gate option ref;
+      (* read by every quantifier closure; each entry point installs its
+         budget's gate, [None] when unbudgeted, before running [code] *)
 }
+
+let poll = function
+  | None -> ()
+  | Some g ->
+      g.left <- g.left - 1;
+      if g.left <= 0 then begin
+        g.left <- g.window;
+        Budget.poll g.poller
+      end
 
 (* Compile-time variable scope: name -> slot. Shadowing is handled by
    consing, exactly like the interpreter's environment — except the lookup
@@ -37,6 +57,7 @@ let compile_with a ~vars f =
       invalid_arg (Printf.sprintf "Compiled: free variable %S not listed" x)
   | None -> ());
   let n = Structure.size a in
+  let gate = ref None in
   let nslots = ref (List.length vars) in
   let scope0 : scope = List.mapi (fun i x -> (x, i)) vars in
   let rec go (scope : scope) depth f : int array -> bool =
@@ -91,6 +112,7 @@ let compile_with a ~vars f =
         let slot = depth in
         let cg = go ((x, slot) :: scope) (depth + 1) g in
         fun env ->
+          poll !gate;
           let rec scan e =
             e < n
             && ((env.(slot) <- e;
@@ -102,6 +124,7 @@ let compile_with a ~vars f =
         let slot = depth in
         let cg = go ((x, slot) :: scope) (depth + 1) g in
         fun env ->
+          poll !gate;
           let rec scan e =
             e >= n
             || ((env.(slot) <- e;
@@ -111,19 +134,27 @@ let compile_with a ~vars f =
           scan 0
   in
   let code = go scope0 (List.length vars) f in
-  { structure = a; free = vars; nslots = !nslots; code }
+  { size = n; free = vars; nslots = !nslots; code; gate }
 
 let compile a f = compile_with a ~vars:(Formula.free_vars f) f
 let free_vars t = t.free
-let structure t = t.structure
 
-let run t args =
+(* Install [budget]'s gate and return a fresh environment. *)
+let start ?(budget = Budget.unlimited) t =
+  (t.gate :=
+     if Budget.is_unlimited budget then None
+     else
+       let window = Budget.poll_interval budget in
+       Some { poller = Budget.poller budget; window; left = window });
+  Array.make (max 1 t.nslots) 0
+
+let run ?budget t args =
   let nfree = List.length t.free in
   if Array.length args <> nfree then
     invalid_arg
       (Printf.sprintf "Compiled.run: %d arguments for %d free variables"
          (Array.length args) nfree);
-  let env = Array.make (max 1 t.nslots) 0 in
+  let env = start ?budget t in
   Array.blit args 0 env 0 nfree;
   t.code env
 
@@ -139,35 +170,39 @@ let holds t ~env =
                   (Printf.sprintf "Compiled: unbound variable %S" x))
           t.free))
 
-let sat a f =
+let sat ?budget a f =
   (match Formula.free_vars f with
   | [] -> ()
   | fv ->
       invalid_arg
         (Printf.sprintf "Compiled.sat: not a sentence (free: %s)"
            (String.concat ", " fv)));
-  let t = compile a f in
-  t.code (Array.make (max 1 t.nslots) 0)
+  run ?budget (compile a f) [||]
 
-let definable_relation_of t =
+let definable_relation_of ?budget t =
   let k = List.length t.free in
-  let n = Structure.size t.structure in
-  let env = Array.make (max 1 t.nslots) 0 in
+  let env = start ?budget t in
+  let gate = !(t.gate) in
   let acc = ref Tuple.Set.empty in
+  (* Each answer variable's enumeration is polled like a quantifier
+     scan. *)
   let rec enum i =
     if i = k then (
       if t.code env then acc := Tuple.Set.add (Array.sub env 0 k) !acc)
-    else
-      for e = 0 to n - 1 do
+    else begin
+      poll gate;
+      for e = 0 to t.size - 1 do
         env.(i) <- e;
         enum (i + 1)
       done
+    end
   in
   enum 0;
   !acc
 
-let definable_relation a f ~vars = definable_relation_of (compile_with a ~vars f)
+let definable_relation ?budget a f ~vars =
+  definable_relation_of ?budget (compile_with a ~vars f)
 
-let answers a f =
+let answers ?budget a f =
   let vars = Formula.free_vars f in
-  (vars, definable_relation a f ~vars)
+  (vars, definable_relation ?budget a f ~vars)

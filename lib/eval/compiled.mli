@@ -1,23 +1,38 @@
-(** Compile-then-run FO evaluation.
+(** Compile-then-run FO evaluation: the production model checker.
 
-    {!Eval.holds} walks the formula AST on every evaluation step, resolves
-    variables through an association list, and probes relations through
-    [SMap.find] plus a tuple-set search — per atom, per assignment. This
-    module instead compiles a {!Formula.t} {e once} against a fixed
-    structure into a tree of closures over slot-numbered variables: the
-    environment is a single int array, free-variable and binder slots are
-    resolved at compile time, constants are interpreted at compile time,
-    and every relational atom holds its relation's O(1) membership index
+    The naive interpreter {!Eval} walks the formula AST on every
+    evaluation step, resolves variables through an association list, and
+    probes relations through [SMap.find] plus a tuple-set search — per
+    atom, per assignment. This module instead compiles a {!Formula.t}
+    {e once} against a fixed structure into a tree of closures over
+    slot-numbered variables: the environment is a single int array,
+    free-variable and binder slots are resolved at compile time,
+    constants are interpreted at compile time, and every relational atom
+    holds its relation's O(1) membership index
     ({!Fmtk_structure.Index}) with an arity-specialized allocation-free
-    probe. Experiment E23 measures the gap against the naive interpreter,
-    which remains the differential-testing oracle.
+    probe. Experiment E23 measures the gap against the naive
+    interpreter, which remains the differential-testing oracle.
 
-    A compiled formula reuses internal scratch buffers, so a single [t]
-    must not be run from several domains at once — compile per domain
-    instead. *)
+    {2 Budget contract}
+
+    Every evaluating entry point takes an optional [budget] (default
+    unlimited) and counts one budget step, exactly as
+    {!Fmtk_runtime.Budget.check} would, on entering each scan of the
+    domain: each quantifier's scan, and each answer variable's
+    enumeration in {!definable_relation_of}. Between two polls the
+    evaluator runs at most one innermost scan — [n] steps of a
+    quantifier-free body — so a deadline, fuel limit or cancellation
+    takes effect within one poll interval of such scans. Exhaustion
+    raises {!Fmtk_runtime.Budget.Exhausted}; a budget never changes an
+    answer that is returned. Experiment E25 measures the poll overhead.
+
+    A compiled formula reuses internal scratch state (including the
+    running budget's poller), so a single [t] must not be run from
+    several domains at once — compile per domain or serialize runs. *)
 
 module Formula = Fmtk_logic.Formula
 module Structure = Fmtk_structure.Structure
+module Budget = Fmtk_runtime.Budget
 
 type t
 
@@ -28,37 +43,47 @@ type t
 val compile : Structure.t -> Formula.t -> t
 
 (** Like {!compile} with an explicit argument-slot order; [vars] must
-    cover the free variables (extra names get unconstrained slots), as in
-    {!Eval.definable_relation}. *)
+    cover the free variables (extra names get unconstrained slots). *)
 val compile_with : Structure.t -> vars:string list -> Formula.t -> t
 
 (** Free variables in argument-slot order. *)
 val free_vars : t -> string list
 
-(** The structure the formula was compiled against. *)
-val structure : t -> Structure.t
-
 (** [run t args] evaluates with [args.(i)] assigned to the [i]-th free
     variable (see {!free_vars}).
-    @raise Invalid_argument on an argument-count mismatch. *)
-val run : t -> int array -> bool
+    @raise Invalid_argument on an argument-count mismatch.
+    @raise Budget.Exhausted when [budget] runs out first. *)
+val run : ?budget:Budget.t -> t -> int array -> bool
 
 (** Named-environment convenience around {!run}.
     @raise Invalid_argument if a free variable is missing from [env]. *)
 val holds : t -> env:(string * int) list -> bool
 
-(** One-shot [compile]+[run] for sentences — same contract as
-    {!Eval.sat}. *)
-val sat : Structure.t -> Formula.t -> bool
+(** One-shot [compile]+[run] for sentences: does [a] satisfy [f]?
+    @raise Invalid_argument if [f] has free variables, or as {!compile}.
+    @raise Budget.Exhausted when [budget] runs out first. *)
+val sat : ?budget:Budget.t -> Structure.t -> Formula.t -> bool
 
 (** Answer set of an already-compiled query: all tuples (in slot order)
-    satisfying it — the [n^k] enumeration reuses one environment array. *)
-val definable_relation_of : t -> Fmtk_structure.Tuple.Set.t
+    satisfying it — the [n^k] enumeration reuses one environment array.
+    @raise Budget.Exhausted when [budget] runs out first. *)
+val definable_relation_of : ?budget:Budget.t -> t -> Fmtk_structure.Tuple.Set.t
 
-(** [definable_relation a f ~vars] — as {!Eval.definable_relation}, via
-    compilation. *)
+(** [definable_relation a f ~vars] evaluates [f] as a query with
+    distinguished variables [vars] (a permutation/superset of the free
+    variables) and returns the answer tuples in that variable order. *)
 val definable_relation :
-  Structure.t -> Formula.t -> vars:string list -> Fmtk_structure.Tuple.Set.t
+  ?budget:Budget.t ->
+  Structure.t ->
+  Formula.t ->
+  vars:string list ->
+  Fmtk_structure.Tuple.Set.t
 
-(** [answers a f] — as {!Eval.answers}, via compilation. *)
-val answers : Structure.t -> Formula.t -> string list * Fmtk_structure.Tuple.Set.t
+(** [answers a f] computes [ans(f, A)] (slide 10): the free variables of
+    [f] in {!Formula.free_vars} order and the tuples over them that
+    satisfy [f] in [a]. *)
+val answers :
+  ?budget:Budget.t ->
+  Structure.t ->
+  Formula.t ->
+  string list * Fmtk_structure.Tuple.Set.t

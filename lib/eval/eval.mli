@@ -4,7 +4,11 @@
     Boolean semantics for connectives, and a scan of the whole domain for
     each quantifier — giving [O(n^k)] time and [O(k log n)] space for
     domain size [n] and quantifier depth [k]. The instrumentation counters
-    make that cost measurable (experiment E1). *)
+    make that cost measurable (experiment E1).
+
+    This interpreter is the differential-testing oracle and the E1
+    work-counter engine; production callers evaluate through
+    {!Compiled}, which computes the same answers under a budget. *)
 
 module Formula = Fmtk_logic.Formula
 module Structure = Fmtk_structure.Structure

@@ -35,7 +35,7 @@ let models ~signature ~size phi =
   | fv ->
       invalid_arg
         (Printf.sprintf "Spectrum: free variables %s" (String.concat ", " fv)));
-  Seq.filter (fun s -> Eval.sat s phi) (all_structures ~signature ~size)
+  Seq.filter (fun s -> Compiled.sat s phi) (all_structures ~signature ~size)
 
 let satisfiable_at ~signature ~size phi =
   not (Seq.is_empty (models ~signature ~size phi))

@@ -32,6 +32,3 @@ val formula :
   Structure.t ->
   (int * int) list ->
   Formula.t option
-
-(** Name of the [i]-th (1-based) pebble variable: ["x<i>"]. *)
-val pebble_var : int -> string

@@ -211,6 +211,3 @@ let solve_verdict ?(config = default_config) ?(budget = Budget.unlimited)
 
 let duplicator_wins ?config ?budget ~pebbles ~rounds a b =
   fst (solve ?config ?budget ~pebbles ~rounds a b)
-
-let equiv_fo_k ?config ?budget ~k ~rank a b =
-  duplicator_wins ?config ?budget ~pebbles:k ~rounds:rank a b

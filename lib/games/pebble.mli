@@ -80,10 +80,3 @@ val duplicator_wins :
   ?config:config ->
   ?budget:Budget.t ->
   pebbles:int -> rounds:int -> Structure.t -> Structure.t -> bool
-
-(** [equiv_fo_k ~k ~rank a b]: agreement on FO^k up to quantifier rank
-    [rank] — [duplicator_wins ~pebbles:k ~rounds:rank]. *)
-val equiv_fo_k :
-  ?config:config ->
-  ?budget:Budget.t ->
-  k:int -> rank:int -> Structure.t -> Structure.t -> bool

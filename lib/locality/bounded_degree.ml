@@ -1,6 +1,6 @@
 module Structure = Fmtk_structure.Structure
 module Formula = Fmtk_logic.Formula
-module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 
 type t = {
   phi : Formula.t;
@@ -54,6 +54,6 @@ let eval ?workers ?budget ev s =
       v
   | None ->
       ev.misses <- ev.misses + 1;
-      let v = Eval.sat s ev.phi in
+      let v = Compiled.sat ?budget s ev.phi in
       Hashtbl.replace ev.cache key v;
       v

@@ -9,7 +9,7 @@
     doubly exponential and most entries are unrealizable, so this
     implementation fills it {e lazily}: each input's truncated census is
     computed in linear time (for fixed k, r) and used as a cache key; on a
-    miss the sentence is evaluated once by the naive [O(n^q)] algorithm and
+    miss the sentence is evaluated once by the [O(n^q)] model checker and
     the verdict recorded. Soundness of the cache is exactly Theorem 3.10.
     Amortized over a family of inputs, per-input cost is the linear census
     — the shape Theorem 3.11 asserts (experiment E13). *)
@@ -29,9 +29,11 @@ val make :
   ?radius:int -> ?threshold:int -> Formula.t -> degree_bound:int -> t
 
 (** Evaluate. [workers]/[budget] are passed to the underlying census
-    ({!Fmtk_locality.Neighborhood.census}); the verdict is identical
-    for every worker count. @raise Invalid_argument if the structure's
-    Gaifman degree exceeds the declared bound. *)
+    ({!Fmtk_locality.Neighborhood.census}); [budget] also governs the
+    model-checking run on a cache miss. The verdict is identical for
+    every worker count. @raise Invalid_argument if the structure's
+    Gaifman degree exceeds the declared bound.
+    @raise Fmtk_runtime.Budget.Exhausted when [budget] runs out first. *)
 val eval :
   ?workers:int -> ?budget:Fmtk_runtime.Budget.t -> t -> Structure.t -> bool
 

@@ -1,7 +1,7 @@
 module Structure = Fmtk_structure.Structure
 module Formula = Fmtk_logic.Formula
 module Graph = Fmtk_structure.Graph
-module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 
 let holds_locally t ~radius ~formula a =
   (match Formula.free_vars formula with
@@ -13,7 +13,7 @@ let holds_locally t ~radius ~formula a =
            (String.concat "; " fv)));
   let nb = Gaifman.neighborhood t radius [ a ] in
   let pinned = Structure.const nb "@p1" in
-  Eval.holds nb formula ~env:(Eval.bind "x" pinned Eval.empty_env)
+  Compiled.run (Compiled.compile_with nb ~vars:[ "x" ] formula) [| pinned |]
 
 type basic = { count : int; radius : int; formula : Formula.t }
 

@@ -66,7 +66,6 @@ let create_registry ?(bucketing = true) () =
     serial_hits = 0;
   }
 
-let registry_size reg = reg.count
 let iso_tests reg = reg.iso_tests
 let serial_hits reg = reg.serial_hits
 

@@ -24,9 +24,6 @@ type registry
 
 val create_registry : ?bucketing:bool -> unit -> registry
 
-(** Number of distinct types registered. *)
-val registry_size : registry -> int
-
 (** [type_id reg nb] returns the id of [nb]'s isomorphism type, registering
     a new type if unseen. *)
 val type_id : registry -> Structure.t -> int

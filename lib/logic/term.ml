@@ -13,10 +13,6 @@ let compare a b =
 
 let vars = function Var x -> [ x ] | Const _ -> []
 
-let rename_var ~from ~into = function
-  | Var x when String.equal x from -> Var into
-  | (Var _ | Const _) as t -> t
-
 let subst x u = function
   | Var y when String.equal y x -> u
   | (Var _ | Const _) as t -> t

@@ -1,7 +1,7 @@
 module Formula = Fmtk_logic.Formula
 module Signature = Fmtk_logic.Signature
 module Structure = Fmtk_structure.Structure
-module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 
 let target =
   Structure.make (Signature.make [ ("T", 1) ]) ~size:2 [ ("T", [ [| 1 |] ]) ]
@@ -19,6 +19,6 @@ let rec translate = function
   | Qbf.Exists (p, q) -> Formula.Exists (fo_var p, translate q)
   | Qbf.Forall (p, q) -> Formula.Forall (fo_var p, translate q)
 
-let decide_via_fo q =
+let decide_via_fo ?budget q =
   if not (Qbf.is_closed q) then invalid_arg "Reduction.decide_via_fo: open QBF";
-  Eval.sat target (translate q)
+  Compiled.sat ?budget target (translate q)

@@ -20,5 +20,6 @@ val translate : Qbf.t -> Formula.t
 
 (** [decide_via_fo q] solves a closed QBF by FO model checking on
     {!target} — must agree with {!Qbf.solve} (verified by tests and
-    experiment E17). *)
-val decide_via_fo : Qbf.t -> bool
+    experiment E17).
+    @raise Fmtk_runtime.Budget.Exhausted when [budget] runs out first. *)
+val decide_via_fo : ?budget:Fmtk_runtime.Budget.t -> Qbf.t -> bool

@@ -154,6 +154,13 @@ val poller : t -> poller
     true at poller creation. *)
 val check : poller -> unit
 
+(** The slow path of {!check}, taken now: consult the shared state and
+    count one whole [poll_interval] window. A hot loop that keeps its
+    own countdown of {!poll_interval} steps and calls [poll] once per
+    window behaves exactly like one calling {!check} every step, minus
+    a cross-module call per step. *)
+val poll : poller -> unit
+
 (** [worker_poller b] is like {!poller} but marks the poller as running
     inside a spawned worker domain, arming [Raise_in_worker]. *)
 val worker_poller : t -> poller

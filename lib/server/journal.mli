@@ -38,9 +38,6 @@ type record =
 
 (** {1 Codec} *)
 
-(** IEEE CRC32 (the zlib/PNG polynomial), returned as an unsigned int. *)
-val crc32 : string -> int
-
 (** [frame payload] is the 12-byte header plus [payload]. *)
 val frame : string -> string
 

@@ -25,8 +25,7 @@
       [retry_after_ms];
     - ["error"] — no answer; [code] is machine-readable
       ([bad-json], [bad-request], [unknown-structure], [parse-error],
-      [plan-error], [bad-update], [deadline-over-limit], [too-expensive],
-      [oversized], [gave-up], [worker-crash], [store-full], [too-large],
+      [plan-error], [bad-update], [deadline-over-limit], [oversized], [gave-up], [worker-crash], [store-full], [too-large],
       [io-error], [idle-timeout], [shutting-down]), [error] is
       human-readable.
 

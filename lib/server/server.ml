@@ -186,16 +186,6 @@ let seq_pebble_config =
 let seq_engine_config =
   { Fmtk_games.Engine.memo = true; parallel = false; workers = None }
 
-(* An eval's quantifier scans are not budget-polled (the compiled runner
-   has no hooks), so admission must bound them up front: reject
-   sentences whose worst-case scan count dwarfs any sane deadline. *)
-let eval_cost_ok s phi =
-  let slots =
-    Formula.quantifier_rank phi + List.length (Formula.free_vars phi)
-  in
-  float_of_int slots *. Float.log (float_of_int (max 2 (Structure.size s)))
-  <= Float.log 1e9
-
 let verdict_fields equivalent positions =
   [
     ("equivalent", Json.Bool equivalent);
@@ -275,11 +265,10 @@ let run_request t (job : job) =
             end
           in
           if ra then begin
-            (* The planned engine polls the request budget per row, so it
-               needs no up-front cost gate; answers are maintained across
-               [update] ops by delta propagation. Re-read the structure
-               paired with its mutation sequence so a rebuilt cache entry
-               knows exactly which store state it materializes. *)
+            (* Answers are maintained across [update] ops by delta
+               propagation. Re-read the structure paired with its
+               mutation sequence so a rebuilt cache entry knows exactly
+               which store state it materializes. *)
             let s, seq =
               match Store.get_seq t.store structure with
               | Some p -> p
@@ -293,23 +282,19 @@ let run_request t (job : job) =
             | Error e -> raise (Reject ("plan-error", e))
             | Ok fields -> (`Ok, ("engine", Json.Str "ra") :: fields)
           end
-          else begin
-            if not (eval_cost_ok s phi) then
-              raise
-                (Reject
-                   ( "too-expensive",
-                     "quantifier depth times structure size exceeds the \
-                      server's evaluation bound" ));
+          else
             Qcache.with_compiled t.cache ~sname:structure s formula phi
               (fun compiled ->
+                let budget = job.budget in
                 if Compiled.free_vars compiled = [] then
-                  (`Ok, [ ("value", Json.Bool (Compiled.run compiled [||])) ])
+                  ( `Ok,
+                    [ ("value", Json.Bool (Compiled.run ~budget compiled [||])) ]
+                  )
                 else
                   ( `Ok,
                     answer_fields
                       (Compiled.free_vars compiled)
-                      (Compiled.definable_relation_of compiled) ))
-          end)
+                      (Compiled.definable_relation_of ~budget compiled) )))
   | Protocol.Update { structure; rel; tuple; add } -> (
       let tup = Array.of_list tuple in
       match Store.update t.store ~name:structure ~rel tup ~add with
@@ -400,7 +385,7 @@ let execute t (job : job) =
       (* Pre-dispatch polls: surface already-exhausted deadlines before
          any work, and give the injected faults (Exhaust_at/Cancel_at/
          Raise_in_worker) a deterministic firing point even for requests
-         whose execution never polls (eval, load). *)
+         whose execution never polls (load). *)
       let p = Budget.worker_poller job.budget in
       Budget.check p;
       Budget.check p;

@@ -15,11 +15,6 @@
 
 module Structure = Fmtk_structure.Structure
 
-(** [file_name]/[temp_name] inside a data dir. *)
-val file_name : string
-
-val temp_name : string
-
 val path : dir:string -> string
 
 (** [write ~dir ?inject entries] atomically replaces the snapshot with

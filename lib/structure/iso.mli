@@ -34,11 +34,6 @@ val isomorphic : Structure.t -> Structure.t -> bool
     neighborhood types before exact checks. *)
 val invariant_key : Structure.t -> string
 
-(** Colour refinement (1-WL) colours of the two structures, computed jointly
-    so colours are comparable across them. Compatibility alias of
-    {!Wl.colors_joint} — the refinement machinery itself lives in {!Wl}. *)
-val wl_colors : Structure.t -> Structure.t -> int array * int array
-
 (** Colour refinement of a single structure; alias of {!Wl.colors1}. The
     interned colour ids are only comparable within the returned array.
     Constants individualize their elements, so a structure whose

@@ -65,6 +65,3 @@ val stabilizer : t -> int list -> orbits
 
 (** Root orbit partition as explicit classes (ascending), for tests. *)
 val classes : t -> int list list
-
-(** [same_orbit t x y] — some automorphism maps [x] to [y]. *)
-val same_orbit : t -> int -> int -> bool

@@ -58,21 +58,6 @@ val census_equal1 : Structure.t -> Structure.t -> bool
     not the million-element pipeline. *)
 val canonical_colors : Structure.t -> Digest.t array
 
-(** [colors_k ~k a b] — joint k-dimensional WL. For [k = 1] this is
-    {!colors_joint}; for [k >= 2] the returned arrays colour the [n^k]
-    k-tuples of each structure (tuple [(v_0, .., v_{k-1})] at index
-    [Σ v_i · n^(k-1-i)]), refined jointly to stabilization. The budget
-    is polled once per tuple per round.
-    @raise Invalid_argument if [k < 1].
-    @raise Fmtk_runtime.Budget.Exhausted when the (default unlimited)
-    budget runs out before stabilization. *)
-val colors_k :
-  ?budget:Fmtk_runtime.Budget.t ->
-  k:int ->
-  Structure.t ->
-  Structure.t ->
-  int array * int array
-
 (** [equiv ~k a b]: the joint k-WL colour censuses coincide, i.e. the
     structures are not distinguished by k-WL — equivalently, they agree
     on C^{k+1}. Sound and complete for C^{k+1}-equivalence; sound but

@@ -2,7 +2,7 @@ module Structure = Fmtk_structure.Structure
 module Formula = Fmtk_logic.Formula
 module Signature = Fmtk_logic.Signature
 module Gen = Fmtk_structure.Gen
-module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
 
 type witness_source = Paley | Search of Random.State.t * int
 
@@ -40,6 +40,6 @@ let decide ?(source = Paley) phi =
                  "Almost_sure: no %d-e.c. graph of size %d found in 200 draws"
                  q size))
   in
-  Eval.sat witness phi
+  Compiled.sat witness phi
 
 let mu ?source phi = if decide ?source phi then 1.0 else 0.0

@@ -12,6 +12,7 @@ module Gen = Fmtk_structure.Gen
 module Eval = Fmtk_eval.Eval
 module Compiled = Fmtk_eval.Compiled
 module Ef = Fmtk_games.Ef
+module Budget = Fmtk_runtime.Budget
 open Formula
 
 let checkb msg = Alcotest.check Alcotest.bool msg
@@ -224,6 +225,81 @@ let prop_definable_relation =
         (Eval.definable_relation g phi ~vars)
         (Compiled.definable_relation g phi ~vars))
 
+(* ---------- Budgeted evaluation ---------- *)
+
+(* Answer set of a budgeted run, or the reason it gave up. *)
+let budgeted budget g phi =
+  match Compiled.answers ~budget g phi with
+  | answers -> Ok answers
+  | exception Budget.Exhausted r -> Error r
+
+(* Budget checks one unbudgeted-equivalent run makes: with poll interval
+   1 every check reaches the shared step counter. *)
+let checks_of g phi =
+  let b = Budget.create ~fuel:max_int ~poll_interval:1 () in
+  ignore (Compiled.answers ~budget:b g phi);
+  Budget.steps b
+
+let test_budget_poll_points () =
+  let g = graph_of [ (0, 1); (1, 2); (2, 0) ] ~size:3 in
+  (* One check per scan entry: 1 + 3 + 9 for three nested quantifiers
+     over three elements. *)
+  checki "sentence: one check per quantifier scan" 13
+    (checks_of g (f "forall x. forall y. exists z. x = x"));
+  (* Enumerating the answer variables x, y is scanned the same way:
+     1 + 3, then one exists-z scan per candidate tuple. *)
+  checki "query: one check per answer-variable scan" 4
+    (checks_of g (f "E(x,y)"));
+  checki "query with a quantifier" (4 + 9)
+    (checks_of g (f "exists z. E(x,z) & E(z,y)"));
+  (* Fuel [n] runs out at the [n]-th check: a one-check run needs 2. *)
+  let phi = f "exists x. E(x,x)" in
+  (match budgeted (Budget.create ~fuel:1 ~poll_interval:1 ()) g phi with
+  | Error Budget.Fuel -> ()
+  | _ -> Alcotest.fail "fuel 1 must give up");
+  match budgeted (Budget.create ~fuel:2 ~poll_interval:1 ()) g phi with
+  | Ok ([], ans) -> checkb "fuel 2 answers" true (Tuple.Set.is_empty ans)
+  | _ -> Alcotest.fail "fuel 2 must answer"
+
+(* The outcome a budget must produce on a run of [checks] checks that
+   exhausts at check [at]: [reason] from there on, the oracle's answer
+   before. *)
+let oracle_agrees g phi (vars, ans) =
+  let vars', naive = Eval.answers g phi in
+  vars = vars' && Tuple.Set.equal ans naive
+
+let expect_outcome g phi ~checks ~at ~reason = function
+  | Error r -> at <= checks && r = reason
+  | Ok answers -> at > checks && oracle_agrees g phi answers
+
+let gen_fuel = QCheck2.Gen.(map (fun e -> int_of_float (10. ** e)) (float_range 0. 4.))
+
+let prop_budget_fuel =
+  QCheck2.Test.make ~count:500
+    ~name:"budgeted compiled: Eval's answer or Exhausted Fuel, fuel 1..10^4"
+    QCheck2.Gen.(
+      pair (triple gen_graph gen_formula gen_fuel) (oneofl [ 1; 7; 256 ]))
+    (fun ((g, phi, fuel), window) ->
+      (* Fuel is debited a whole poll window at a time, so the run gives
+         up at the end of the window that drains it — the same step a
+         [Budget.check] per step would. *)
+      let budget = Budget.create ~fuel ~poll_interval:window () in
+      let at = window * ((fuel + window - 1) / window) in
+      expect_outcome g phi ~checks:(checks_of g phi) ~at ~reason:Budget.Fuel
+        (budgeted budget g phi))
+
+let prop_budget_injected =
+  QCheck2.Test.make ~count:300
+    ~name:"budgeted compiled: injected Exhaust_at/Cancel_at only give up"
+    QCheck2.Gen.(triple gen_graph gen_formula (int_range 1 200))
+    (fun (g, phi, at) ->
+      let checks = checks_of g phi in
+      let run inject = budgeted (Budget.create ~inject ()) g phi in
+      expect_outcome g phi ~checks ~at ~reason:Budget.Fuel
+        (run (Budget.Exhaust_at at))
+      && expect_outcome g phi ~checks ~at ~reason:Budget.Cancelled
+           (run (Budget.Cancel_at at)))
+
 (* ---------- EF solver: config equivalence ---------- *)
 
 (* All config corners, including a forced multi-domain fan-out so the
@@ -312,6 +388,8 @@ let qcheck_cases =
       prop_differential;
       prop_differential_roundtrip;
       prop_definable_relation;
+      prop_budget_fuel;
+      prop_budget_injected;
       prop_ef_random_graphs;
     ]
 
@@ -324,6 +402,7 @@ let () =
           Alcotest.test_case "free vars and run" `Quick test_free_vars_and_run;
           Alcotest.test_case "constants" `Quick test_constants;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "budget poll points" `Quick test_budget_poll_points;
         ] );
       ( "index",
         [

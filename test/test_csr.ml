@@ -12,6 +12,8 @@ module Gen = Fmtk_structure.Gen
 module Wl = Fmtk_structure.Wl
 module Io = Fmtk_structure.Structure_io
 module Eval = Fmtk_eval.Eval
+module Compiled = Fmtk_eval.Compiled
+module Tuple = Fmtk_structure.Tuple
 module Neighborhood = Fmtk_locality.Neighborhood
 module Hanf = Fmtk_locality.Hanf
 module Bounded_degree = Fmtk_locality.Bounded_degree
@@ -95,6 +97,31 @@ let prop_eval_agrees =
   QCheck2.Test.make ~count:100 ~name:"eval: csr = set" gen_graph (fun g ->
       let s, c = both g in
       List.for_all (fun phi -> Eval.sat s phi = Eval.sat c phi) sentences)
+
+(* The compiled engine probes CSR rows through [Index.of_csr] and
+   tuple sets through bitset/hash indexes: answers must coincide, with
+   the naive evaluator as the oracle. *)
+let queries =
+  sentences
+  @ [
+      f "E(x,y) & exists z. E(y,z) & ~E(z,x)";
+      f "forall y. E(x,y) -> E(y,x)";
+      f "exists y. E(x,y) & E(y,x) & x != y";
+    ]
+
+let prop_compiled_agrees =
+  QCheck2.Test.make ~count:100 ~name:"compiled eval: csr = set = naive"
+    gen_graph (fun g ->
+      let s, c = both g in
+      List.for_all
+        (fun phi ->
+          let vars, naive = Eval.answers s phi in
+          List.for_all
+            (fun x ->
+              let vars', ans = Compiled.answers x phi in
+              vars' = vars && Tuple.Set.equal ans naive)
+            [ s; c ])
+        queries)
 
 let prop_structure_equal =
   QCheck2.Test.make ~count:100 ~name:"equal/mem/rel_count: csr = set" gen_graph
@@ -301,6 +328,7 @@ let qcheck_cases =
       prop_element_types_agree;
       prop_hanf_agrees;
       prop_bounded_degree_agrees;
+      prop_compiled_agrees;
     ]
 
 let () =

@@ -960,6 +960,36 @@ let test_update_and_ra_eval () =
   checks "still serving" "ok" (status (Client.request c {|{"op":"ping","id":13}|}));
   Client.close c
 
+(* Eval runs under the request deadline like every other op: sentences
+   and free-variable queries whose scans run to billions of steps on
+   cycle:300 give up at the deadline (no up-front cost refusal), and the
+   connection keeps serving. *)
+let test_eval_deadline () =
+  with_server ~preload:[ ("c300", "cycle:300") ] @@ fun _ port ->
+  let c = Client.connect port in
+  let gives_up name formula =
+    let t0 = Unix.gettimeofday () in
+    let r =
+      Client.request c
+        (Printf.sprintf
+           {|{"op":"eval","id":1,"structure":"c300","formula":%S,"timeout":0.5}|}
+           formula)
+    in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    checks (name ^ " status") "error" (status r);
+    checks (name ^ " code") "gave-up"
+      (match code r with Some cd -> cd | None -> "<none>");
+    checkb (name ^ " answered near its deadline") true (elapsed < 1.5)
+  in
+  gives_up "sentence" "forall x y z w. (x = x | E(y,z) | E(z,w))";
+  gives_up "query" "forall z w. (x = x | E(y,z) | E(z,w))";
+  let r =
+    Client.request c
+      {|{"op":"eval","id":2,"structure":"c300","formula":"forall x. exists y. E(x,y)"}|}
+  in
+  checks "next request answered" "ok" (status r);
+  Client.close c
+
 let test_oversized_line () =
   with_server ~configure:(fun c -> { c with Server.max_line = 256 }) @@ fun _ port ->
   let c = Client.connect port in
@@ -1441,6 +1471,7 @@ let () =
           Alcotest.test_case "drop" `Quick test_drop_end_to_end;
           Alcotest.test_case "durable restart" `Quick
             test_durable_server_restart;
+          Alcotest.test_case "eval deadline" `Quick test_eval_deadline;
           Alcotest.test_case "oversized line" `Quick test_oversized_line;
           Alcotest.test_case "admission shedding" `Quick test_admission_shedding;
           Alcotest.test_case "fault injection" `Quick test_fault_injection_no_crash;

@@ -856,8 +856,8 @@ let scaling_grid () =
 
 (* Direct wall-clock measurement: Bechamel's OLS is great for shapes, but
    the speedup table wants plain ratios of ns/run on identical work. *)
-let time_ns ~iters fn =
-  ignore (Sys.opaque_identity (fn ()));
+let time_ns ?(warmup = true) ~iters fn =
+  if warmup then ignore (Sys.opaque_identity (fn ()));
   let t0 = Unix.gettimeofday () in
   for _ = 1 to iters do
     ignore (Sys.opaque_identity (fn ()))
@@ -865,72 +865,125 @@ let time_ns ~iters fn =
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) *. 1e9 /. float_of_int iters
 
-(* E23's eval workloads, (name, iterations, structure, sentence): the E1
-   workloads at the acceptance point n = 40, k = 3, and the E13 naive
-   O(n^2) baseline of Theorem 3.11. E25 re-times them under a budget. *)
+(* A G(n, m) random digraph: [m] distinct loop-free edges. *)
+let gnm ~rng n m =
+  let edges = Hashtbl.create m in
+  while Hashtbl.length edges < m do
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    if u <> v then Hashtbl.replace edges (u, v) ()
+  done;
+  Structure.make Signature.graph ~size:n
+    [ ("E", Hashtbl.fold (fun (u, v) () acc -> [| u; v |] :: acc) edges []) ]
+
+(* E23's eval workloads, (name, structure, formula): the E1 workloads at
+   the acceptance point n = 40, k = 3, the E13 naive O(n^2) baseline of
+   Theorem 3.11, and three guarded shapes on a G(100, 495) digraph — the
+   triangle sentence and two answer sets (the open wedge and the 3-path),
+   where every inner variable walks an adjacency row. A formula with free
+   variables is timed as its answer set. E25 re-times them under a
+   budget. *)
 let e23_eval_workloads () =
+  let g100 = gnm ~rng:(rng ()) 100 495 in
   [
-    ("E1 nested-quantifier n=40 k=3", 30, Gen.set 40, nested_forall 3);
+    ("E1 nested-quantifier n=40 k=3", Gen.set 40, nested_forall 3);
     ( "E1 alternating n=40 k=3",
-      30,
       Gen.random_graph ~rng:(rng ()) 40 0.5,
       f "forall x. exists y. forall z. x = y | E(x,z) | E(z,y) | z != z" );
     ( "E1 alternating n=32 k=2",
-      100,
       Gen.random_graph ~rng:(rng ()) 32 0.5,
       f "forall x. exists y. E(x,y) | E(y,x)" );
     ( "E13 successor-sentence cycle n=1024",
-      30,
       Gen.cycle 1024,
       f "forall x. exists y. E(x,y)" );
     ( "E13 successor-sentence cycle n=256",
-      100,
       Gen.cycle 256,
       f "forall x. exists y. E(x,y)" );
+    ( "guarded triangle sentence G(100,495)",
+      g100,
+      f "exists x y z. E(x,y) & E(y,z) & E(z,x)" );
+    ( "guarded open-wedge answers G(100,495)",
+      g100,
+      f "E(x,y) & E(y,z) & !E(x,z)" );
+    ( "guarded 3-path answers G(100,495)",
+      g100,
+      f "E(x,y) & E(z,w) & E(y,z)" );
   ]
 
-type e23_entry = {
-  name : string;
-  kind : string; (* "eval" or "ef" *)
-  baseline_ns : float; (* naive / sequential *)
-  engine_ns : float; (* compiled / parallel *)
-}
+(* One evaluation of a compiled E23 workload: the truth value of a
+   sentence, the answer set of a query. *)
+let run_compiled ?budget ct =
+  if Compiled.free_vars ct = [] then ignore (Compiled.run ?budget ct [||])
+  else ignore (Compiled.definable_relation_of ?budget ct)
+
+(* Median, min and max of a sample list. *)
+let spread xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  (a.(Array.length a / 2), a.(0), a.(Array.length a - 1))
+
+(* [samples] timings of [fn] in ns/run, each over enough runs to last
+   about 30 ms (one run at least). *)
+let sample_ns ~samples fn =
+  let iters = max 1 (int_of_float (3e7 /. time_ns ~iters:1 fn)) in
+  spread (List.init samples (fun _ -> time_ns ~iters fn))
+
+(* E23 eval samples per workload. The naive interpreter is not timed
+   where it would take minutes: it enumerates all n^k candidate tuples
+   of a k-variable query, 10^8 for the 3-path. *)
+let e23_samples = 5
+let e23_naive_limit = 1e6
 
 let e23 () =
-  let entries = ref [] in
-  let record name kind baseline_ns engine_ns =
-    entries := { name; kind; baseline_ns; engine_ns } :: !entries
-  in
-  pf "Naive interpreter vs compiled engine (same structure, same sentence):@.";
-  pf "  %-36s %12s %12s %9s@." "workload" "naive ns" "compiled ns" "speedup";
-  let eval_workload ~iters name g phi =
-    let naive = time_ns ~iters (fun () -> Eval.sat g phi) in
-    let ct = Compiled.compile g phi in
-    let compiled = time_ns ~iters:(iters * 4) (fun () -> Compiled.run ct [||]) in
-    pf "  %-36s %12.0f %12.0f %8.1fx@." name naive compiled (naive /. compiled);
-    record name "eval" naive compiled
-  in
+  let eval_rows = ref [] and ef_rows = ref [] in
+  pf "Naive interpreter vs compiled engine (same structure, same formula;@.";
+  pf "median [min, max] ns of %d samples):@." e23_samples;
+  pf "  %-40s %32s %32s %9s@." "workload" "naive ns [min, max]"
+    "compiled ns [min, max]" "speedup";
   List.iter
-    (fun (name, iters, g, phi) -> eval_workload ~iters name g phi)
+    (fun (name, g, phi) ->
+      let vars = Formula.free_vars phi in
+      let naive_run () = ignore (Eval.definable_relation g phi ~vars) in
+      let naive =
+        if float_of_int (Structure.size g) ** float_of_int (List.length vars)
+           > e23_naive_limit
+        then None
+        else Some (sample_ns ~samples:e23_samples naive_run)
+      in
+      let ct = Compiled.compile g phi in
+      let ((cm, clo, chi) as compiled) =
+        sample_ns ~samples:e23_samples (fun () -> run_compiled ct)
+      in
+      (match naive with
+      | Some (nm, nlo, nhi) ->
+          pf "  %-40s %9.0f [%9.0f, %9.0f] %9.0f [%9.0f, %9.0f] %8.1fx@." name
+            nm nlo nhi cm clo chi (nm /. cm)
+      | None ->
+          pf "  %-40s %32s %9.0f [%9.0f, %9.0f] %9s@." name "(not run)" cm clo
+            chi "-");
+      eval_rows := (name, naive, compiled) :: !eval_rows)
     (e23_eval_workloads ());
   pf "@.EF solver: sequential vs parallel root fan-out (%d domains available):@."
     (Domain.recommended_domain_count ());
   pf "  %-36s %12s %12s %9s@." "game" "seq ns" "par ns" "speedup";
-  let ef_workload ~iters name a b rounds =
+  let ef_workload ?warmup ~iters name a b rounds =
     let seq =
-      time_ns ~iters (fun () ->
+      time_ns ?warmup ~iters (fun () ->
           Ef.duplicator_wins
             ~config:{ Ef.default_config with Ef.parallel = false }
             ~rounds a b)
     in
-    let par = time_ns ~iters (fun () -> Ef.duplicator_wins ~rounds a b) in
+    let par =
+      time_ns ?warmup ~iters (fun () -> Ef.duplicator_wins ~rounds a b)
+    in
     pf "  %-36s %12.0f %12.0f %8.1fx@." name seq par (seq /. par);
-    record name "ef" seq par
+    ef_rows := (name, seq, par) :: !ef_rows
   in
   ef_workload ~iters:3 "orders L12 vs L13, 3 rounds" (Gen.linear_order 12)
     (Gen.linear_order 13) 3;
-  ef_workload ~iters:3 "orders L15 vs L16, 4 rounds" (Gen.linear_order 15)
-    (Gen.linear_order 16) 4;
+  (* One cold run each (~10 s sequential): E23 must fit the CI smoke
+     deadline, and this search builds its memo tables per run anyway. *)
+  ef_workload ~warmup:false ~iters:1 "orders L15 vs L16, 4 rounds"
+    (Gen.linear_order 15) (Gen.linear_order 16) 4;
   ef_workload ~iters:3 "cycles C12 vs C13, 3 rounds" (Gen.cycle 12)
     (Gen.cycle 13) 3;
   ef_workload ~iters:3 "cycles C16 vs C16, 3 rounds" (Gen.cycle 16)
@@ -944,22 +997,34 @@ let e23 () =
       let oc = open_out path in
       let out = Printf.fprintf in
       json_open oc ~experiment:"E23" ~unit_:"ns/run";
-      out oc "  \"workloads\": [\n";
-      let rows = List.rev !entries in
-      List.iteri
-        (fun i e ->
-          let baseline_key, engine_key =
-            if e.kind = "ef" then ("sequential_ns", "parallel_ns")
-            else ("naive_ns", "compiled_ns")
-          in
-          out oc
-            "    {\"name\": %S, \"kind\": %S, \"%s\": %.1f, \"%s\": %.1f, \
-             \"speedup\": %.2f}%s\n"
-            e.name e.kind baseline_key e.baseline_ns engine_key e.engine_ns
-            (e.baseline_ns /. e.engine_ns)
-            (if i = List.length rows - 1 then "" else ",")
-        )
-        rows;
+      out oc "  \"samples\": %d,\n  \"workloads\": [\n" e23_samples;
+      let ns_json (m, lo, hi) =
+        Printf.sprintf "{\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}" m lo
+          hi
+      in
+      let eval_json =
+        List.rev_map
+          (fun (name, naive, ((cm, _, _) as compiled)) ->
+            Printf.sprintf
+              "{\"name\": %S, \"kind\": \"eval\", \"naive_ns\": %s, \
+               \"compiled_ns\": %s, \"speedup\": %s}"
+              name
+              (match naive with Some n -> ns_json n | None -> "null")
+              (ns_json compiled)
+              (match naive with
+              | Some (nm, _, _) -> Printf.sprintf "%.2f" (nm /. cm)
+              | None -> "null"))
+          !eval_rows
+      and ef_json =
+        List.rev_map
+          (fun (name, seq, par) ->
+            Printf.sprintf
+              "{\"name\": %S, \"kind\": \"ef\", \"sequential_ns\": %.1f, \
+               \"parallel_ns\": %.1f, \"speedup\": %.2f}"
+              name seq par (seq /. par))
+          !ef_rows
+      in
+      out oc "    %s\n" (String.concat ",\n    " (eval_json @ ef_json));
       out oc "  ]\n}\n";
       close_out oc;
       pf "Wrote %s@." path
@@ -1222,16 +1287,11 @@ let e25 () =
      quantifier-scan entry). Each sample runs ~20 ms; the two
      configurations alternate which goes first. Median and min/max. *)
   let samples = 21 in
-  let spread xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    (a.(Array.length a / 2), a.(0), a.(Array.length a - 1))
-  in
   let eval_rows =
     List.map
-      (fun (name, _, g, phi) ->
+      (fun (name, g, phi) ->
         let ct = Compiled.compile g phi in
-        let run budget () = Compiled.run ?budget ct [||] in
+        let run budget () = run_compiled ?budget ct in
         let iters = max 1 (int_of_float (2e7 /. time_ns ~iters:1 (run None))) in
         let timed budget = time_ns ~iters (run budget) in
         let un = ref [] and bud = ref [] in

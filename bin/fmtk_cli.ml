@@ -159,6 +159,12 @@ let budget_term =
   in
   Term.(const mk $ timeout $ fuel)
 
+(* One tuple a line, flushed once at the end: a per-line [@.] flush
+   costs one write(2) per answer. *)
+let print_tuples tuples =
+  Tuple.Set.iter (fun t -> Format.printf "%a@\n" Tuple.pp t) tuples;
+  Format.printf "@?"
+
 (* ---- eval ---- *)
 
 let eval_cmd =
@@ -200,7 +206,7 @@ let eval_cmd =
       | Error (`Msg _) as e -> e
       | Ok (vars, answers) ->
           Format.printf "answers over (%s):@." (String.concat "," vars);
-          Tuple.Set.iter (fun t -> Format.printf "%a@." Tuple.pp t) answers;
+          print_tuples answers;
           Ok ()
   in
   let ra =
@@ -493,7 +499,7 @@ let datalog_cmd =
             Format.printf "%s: %d tuples (%d iterations, %d join steps)@." pred
               (Tuple.Set.cardinal tuples)
               stats.Engine.iterations stats.Engine.join_work;
-            Tuple.Set.iter (fun t -> Format.printf "%a@." Tuple.pp t) tuples;
+            print_tuples tuples;
             Ok ())
   in
   let program =
@@ -615,7 +621,7 @@ let ifp_cmd =
               ~vars:[ "u"; "v" ]
           in
           Format.printf "tc: %d pairs@." (Tuple.Set.cardinal tuples);
-          Tuple.Set.iter (fun t -> Format.printf "%a@." Tuple.pp t) tuples;
+          print_tuples tuples;
           Ok ()
       | "conn" ->
           Format.printf "%b@." (Fp_eval.sat ~stats ~budget s Fp.connectivity);

@@ -4,6 +4,7 @@ module Signature = Fmtk_logic.Signature
 module Structure = Fmtk_structure.Structure
 module Index = Fmtk_structure.Index
 module Tuple = Fmtk_structure.Tuple
+module Csr = Fmtk_structure.Csr
 module Budget = Fmtk_runtime.Budget
 
 (* A running budget's poller plus a local countdown of its poll window.
@@ -13,14 +14,21 @@ module Budget = Fmtk_runtime.Budget
    here, and on short scans that call is measurable (E25). *)
 type gate = { poller : Budget.poller; window : int; mutable left : int }
 
+(* One candidate range of a guarded scan: row [node env] of an
+   adjacency row set (offsets and targets hoisted out of the [Csr.t]). *)
+type guard = { offs : int array; tgt : int array; node : int array -> int }
+
 type t = {
-  size : int;
   free : string list; (* slot order of the free variables *)
   nslots : int;
   code : int array -> bool;
   gate : gate option ref;
       (* read by every quantifier closure; each entry point installs its
          budget's gate, [None] when unbudgeted, before running [code] *)
+  size : int; (* of the structure's domain *)
+  enum_guards : guard list array;
+      (* per answer slot: the guards of its enumeration in
+         [definable_relation_of] (see [guards_of]) *)
 }
 
 let poll = function
@@ -48,6 +56,104 @@ let compile_term a (scope : scope) t : int array -> int =
       | e -> fun _ -> e
       | exception Not_found ->
           invalid_arg (Printf.sprintf "Compiled: uninterpreted constant %S" c))
+
+(* ---- Guards ----
+
+   A binary atom [R(t,y)] {e guards} [y] in a formula [f] when [f]
+   implies it ([must]): every [y] satisfying [f] then lies in the
+   out-row of [t] (the in-row, for [R(y,t)]), so a scan for [y] may walk
+   that row instead of the domain. Dually, an atom guards a universal
+   [forall y. g] when its negation implies [g] ([unless]): outside the
+   row [g] is true. Both collect atoms syntactically; an atom under a
+   binder that it mentions is dropped, which also handles shadowing. *)
+
+let mentions x (_, t, u) = t = Term.Var x || u = Term.Var x
+
+let rec must = function
+  | Formula.Rel (r, [ t; u ]) -> [ (r, t, u) ]
+  | Formula.And (g, h) -> must g @ must h
+  | Formula.Not g -> unless g
+  | Formula.Exists (z, g) -> List.filter (fun a -> not (mentions z a)) (must g)
+  | _ -> []
+
+and unless = function
+  | Formula.Or (g, h) -> unless g @ unless h
+  | Formula.Implies (g, h) -> must g @ unless h
+  | Formula.Not g -> must g
+  | Formula.Forall (z, g) ->
+      List.filter (fun a -> not (mentions z a)) (unless g)
+  | _ -> []
+
+(* The rows among [atoms] that guard [y]: those whose other endpoint
+   is a constant or a variable that [bound] accepts (already bound when
+   [y] is scanned), never [y] itself. *)
+let guards_of a ~bound ~node y atoms =
+  let sg = Structure.signature a in
+  let endpoint = function
+    | Term.Var x -> x <> y && bound x
+    | Term.Const _ -> true
+  in
+  List.filter_map
+    (fun (r, t, u) ->
+      if not (Signature.mem_rel sg r && Signature.arity sg r = 2) then None
+      else
+        let row rows t =
+          Some { offs = Csr.offsets rows; tgt = Csr.targets rows; node = node t }
+        in
+        if u = Term.Var y && endpoint t then row (Structure.out_rows a r) t
+        else if t = Term.Var y && endpoint u then row (Structure.in_rows a r) u
+        else None)
+    atoms
+
+(* Index of the guard with the shortest row at [env]. *)
+let shortest guards env =
+  let best = ref 0 and len = ref max_int in
+  for i = 0 to Array.length guards - 1 do
+    let g = guards.(i) in
+    let u = g.node env in
+    let d = g.offs.(u + 1) - g.offs.(u) in
+    if d < !len then begin
+      best := i;
+      len := d
+    end
+  done;
+  !best
+
+(* [0, 1, 2, ...]: the targets an unguarded scan walks. One array,
+   grown on demand and never written after publication, serves every
+   compiled formula, so a cached [t] holds no O(n) state of its own. *)
+let identity = Atomic.make [||]
+
+let rec identity_upto n =
+  let a = Atomic.get identity in
+  if Array.length a >= n then a
+  else
+    let b = Array.init (max n (2 * Array.length a)) Fun.id in
+    if Atomic.compare_and_set identity a b then b else identity_upto n
+
+(* A scan of a domain of size [n] over the range its guards pick at
+   [env]: [walk env tgt lo hi] visits [tgt.(lo) .. tgt.(hi - 1)] — the
+   domain when there is no guard, else the shortest guard row. Polled
+   once on entry, guarded or not. *)
+let ranged gate ~n guards walk =
+  match guards with
+  | [] ->
+      let domain = identity_upto n in
+      fun env ->
+        poll !gate;
+        walk env domain 0 n
+  | [ g ] ->
+      fun env ->
+        poll !gate;
+        let u = g.node env in
+        walk env g.tgt g.offs.(u) g.offs.(u + 1)
+  | guards ->
+      let guards = Array.of_list guards in
+      fun env ->
+        poll !gate;
+        let g = guards.(shortest guards env) in
+        let u = g.node env in
+        walk env g.tgt g.offs.(u) g.offs.(u + 1)
 
 let compile_with a ~vars f =
   (match
@@ -111,30 +217,48 @@ let compile_with a ~vars f =
     | Formula.Exists (x, g) ->
         let slot = depth in
         let cg = go ((x, slot) :: scope) (depth + 1) g in
-        fun env ->
-          poll !gate;
-          let rec scan e =
-            e < n
-            && ((env.(slot) <- e;
-                 cg env)
-               || scan (e + 1))
-          in
-          scan 0
+        ranged gate ~n (quantifier_guards scope x (must g))
+          (fun env tgt lo hi ->
+            let rec scan i =
+              i < hi
+              && ((env.(slot) <- tgt.(i);
+                   cg env)
+                 || scan (i + 1))
+            in
+            scan lo)
     | Formula.Forall (x, g) ->
         let slot = depth in
         let cg = go ((x, slot) :: scope) (depth + 1) g in
-        fun env ->
-          poll !gate;
-          let rec scan e =
-            e >= n
-            || ((env.(slot) <- e;
-                 cg env)
-               && scan (e + 1))
-          in
-          scan 0
+        ranged gate ~n (quantifier_guards scope x (unless g))
+          (fun env tgt lo hi ->
+            let rec scan i =
+              i >= hi
+              || ((env.(slot) <- tgt.(i);
+                   cg env)
+                 && scan (i + 1))
+            in
+            scan lo)
+  and quantifier_guards scope x atoms =
+    guards_of a x atoms
+      ~bound:(fun z -> List.mem_assoc z scope)
+      ~node:(compile_term a scope)
   in
   let code = go scope0 (List.length vars) f in
-  { size = n; free = vars; nslots = !nslots; code; gate }
+  (* Answer slot [i] may be guarded by the query's own atoms, through
+     constants and the answer slots before it. *)
+  let slot_of x = List.assoc_opt x scope0 and atoms = must f in
+  let enum_guards =
+    Array.of_list
+      (List.mapi
+         (fun i x ->
+           guards_of a x
+             (if slot_of x = Some i then atoms else [])
+             ~bound:(fun z ->
+               match slot_of z with Some j -> j < i | None -> false)
+             ~node:(compile_term a scope0))
+         vars)
+  in
+  { size = n; free = vars; nslots = !nslots; code; gate; enum_guards }
 
 let compile a f = compile_with a ~vars:(Formula.free_vars f) f
 let free_vars t = t.free
@@ -182,20 +306,20 @@ let sat ?budget a f =
 let definable_relation_of ?budget t =
   let k = List.length t.free in
   let env = start ?budget t in
-  let gate = !(t.gate) in
   let acc = ref Tuple.Set.empty in
   (* Each answer variable's enumeration is polled like a quantifier
      scan. *)
   let rec enum i =
     if i = k then (
       if t.code env then acc := Tuple.Set.add (Array.sub env 0 k) !acc)
-    else begin
-      poll gate;
-      for e = 0 to t.size - 1 do
-        env.(i) <- e;
-        enum (i + 1)
-      done
-    end
+    else
+      ranged t.gate ~n:t.size t.enum_guards.(i)
+        (fun env tgt lo hi ->
+          for j = lo to hi - 1 do
+            env.(i) <- tgt.(j);
+            enum (i + 1)
+          done)
+        env
   in
   enum 0;
   !acc

@@ -13,18 +13,46 @@
     probe. Experiment E23 measures the gap against the naive
     interpreter, which remains the differential-testing oracle.
 
+    {2 Guarded scans}
+
+    A scan — a quantifier's, or an answer variable's enumeration in
+    {!definable_relation_of} — walks the whole domain [0..n-1] unless a
+    binary atom pins its variable [y] to one adjacency row. The rows are
+    the structure's cached access paths
+    ({!Fmtk_structure.Structure.out_rows}/[in_rows]); the guards are
+    chosen at compile time, syntactically:
+    - [exists y. phi]: an atom [R(t,y)] (resp. [R(y,t)]) among [phi]'s
+      top-level conjuncts makes the scan walk the out-row (resp. in-row)
+      of [t], where [t] is a constant or an already-bound variable other
+      than [y]. Conjuncts under a further [exists z] count when they do
+      not mention [z], and [!psi] contributes the atoms that guard
+      [forall] in [psi].
+    - [forall y. psi]: the same atom, as a negated disjunct of [psi] or
+      as a conjunct of an implication's premise ([R(x,y) -> chi],
+      [!R(x,y) | chi], [!(R(x,y) & chi)]), makes the scan walk the row:
+      outside it [psi] is true.
+    - Answer variable [i] of {!definable_relation_of}: an atom among the
+      query's top-level conjuncts whose other endpoint is a constant or
+      an answer variable before [i].
+
+    Self-loop atoms [R(y,y)] never guard. With several guards the scan
+    walks the shortest row at run time; with none it walks the domain.
+    Answers are those of the full scan: a guard only skips elements at
+    which the scanned formula is false ([exists]) or true ([forall]).
+
     {2 Budget contract}
 
     Every evaluating entry point takes an optional [budget] (default
     unlimited) and counts one budget step, exactly as
-    {!Fmtk_runtime.Budget.check} would, on entering each scan of the
-    domain: each quantifier's scan, and each answer variable's
-    enumeration in {!definable_relation_of}. Between two polls the
-    evaluator runs at most one innermost scan — [n] steps of a
-    quantifier-free body — so a deadline, fuel limit or cancellation
-    takes effect within one poll interval of such scans. Exhaustion
-    raises {!Fmtk_runtime.Budget.Exhausted}; a budget never changes an
-    answer that is returned. Experiment E25 measures the poll overhead.
+    {!Fmtk_runtime.Budget.check} would, on entering each scan, guarded
+    or not: each quantifier's scan, and each answer variable's
+    enumeration in {!definable_relation_of}. A scan visits at most [n]
+    elements, so between two polls the evaluator runs at most one
+    innermost scan — [n] steps of a quantifier-free body — and a
+    deadline, fuel limit or cancellation takes effect within one poll
+    interval of such scans. Exhaustion raises
+    {!Fmtk_runtime.Budget.Exhausted}; a budget never changes an answer
+    that is returned. Experiment E25 measures the poll overhead.
 
     A compiled formula reuses internal scratch state (including the
     running budget's poller), so a single [t] must not be run from

@@ -68,6 +68,12 @@ val row_end : t -> int -> int
     sorted-row invariant and every cached view of the relation. *)
 val targets : t -> int array
 
+(** The row-offset array, [nodes t + 1] entries: row [u] is
+    [targets.(offsets.(u)) .. targets.(offsets.(u+1) - 1)]. For loops
+    that hoist both arrays out of a row walk. {b Read-only}, like
+    {!targets}. *)
+val offsets : t -> int array
+
 val degree : t -> int -> int
 val max_degree : t -> int
 
@@ -84,6 +90,10 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 
 (** In-degree of every node (one pass over [targets]). *)
 val in_degrees : t -> int array
+
+(** [transpose t] — the converse relation [{(v, u) | (u, v) in t}]:
+    row [v] lists the predecessors of [v], sorted. *)
+val transpose : t -> t
 
 (** [append a b] — disjoint union: rows of [b] follow those of [a] with
     targets shifted by [nodes a]. *)

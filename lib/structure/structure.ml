@@ -24,6 +24,11 @@ type t = {
   mutable indexes : Index.t SMap.t;
   (* Lazily built symmetric Gaifman adjacency (see gaifman_csr). *)
   mutable gaifman : Csr.t option;
+  (* Lazily built out-/in-rows of binary relations (see out_rows).
+     Filled by compare-and-set, so two domains may fill them at once;
+     like [indexes], every derivation starts from empty caches. *)
+  out_rows : Csr.t SMap.t Atomic.t;
+  in_rows : Csr.t SMap.t Atomic.t;
 }
 
 (* Binary relations at least this many tuples wide are auto-converted
@@ -33,7 +38,16 @@ type t = {
 let csr_auto_threshold = 4096
 
 let create ~signature ~size ~rels ~consts =
-  { signature; size; rels; consts; indexes = SMap.empty; gaifman = None }
+  {
+    signature;
+    size;
+    rels;
+    consts;
+    indexes = SMap.empty;
+    gaifman = None;
+    out_rows = Atomic.make SMap.empty;
+    in_rows = Atomic.make SMap.empty;
+  }
 
 let check_tuple name size arity tup =
   if Array.length tup <> arity then
@@ -218,6 +232,41 @@ let probe t name tup = Index.mem (index t name) tup
 
 let ensure_indexes t =
   List.iter (fun (name, _) -> ignore (index t name)) (Signature.rels t.signature)
+
+(* ---- Adjacency rows (guarded scans in Compiled) ---- *)
+
+(* [name]'s entry of [cache], built on a miss. Racing builders compute
+   equal rows; the first to publish wins and the others adopt its copy. *)
+let cached_rows cache name build =
+  match SMap.find_opt name (Atomic.get cache) with
+  | Some rows -> rows
+  | None ->
+      let rows = build () in
+      let rec publish () =
+        let m = Atomic.get cache in
+        match SMap.find_opt name m with
+        | Some winner -> winner
+        | None ->
+            if Atomic.compare_and_set cache m (SMap.add name rows m) then rows
+            else publish ()
+      in
+      publish ()
+
+let binary_repr t name =
+  let r = repr t name in
+  if Signature.arity t.signature name <> 2 then
+    invalid_arg (Printf.sprintf "Structure: %S is not binary" name);
+  r
+
+let out_rows t name =
+  match binary_repr t name with
+  | Rcsr r -> r.csr
+  | Rset s ->
+      cached_rows t.out_rows name (fun () -> Csr.of_tuple_set ~n:t.size s)
+
+let in_rows t name =
+  let out = out_rows t name in
+  cached_rows t.in_rows name (fun () -> Csr.transpose out)
 
 (* ---- Gaifman adjacency (shared by Wl and the locality modules) ---- *)
 

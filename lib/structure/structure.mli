@@ -103,6 +103,24 @@ val index : t -> string -> Index.t
     of a fully indexed structure are read-only. *)
 val ensure_indexes : t -> unit
 
+(** [out_rows t name] — the out-rows of a binary relation [R]: row [u]
+    lists the [v] with [R(u,v)], sorted and deduplicated. [in_rows t
+    name] is the converse: row [v] lists the [u] with [R(u,v)]. These
+    are the access paths of guarded quantifier scans
+    ({!Fmtk_eval.Compiled}).
+
+    A CSR-backed relation answers [out_rows] with its own rows; every
+    other row set is built on first use and cached on the structure.
+    Unlike the membership indexes, the row caches are safe to fill from
+    several domains at once (a racing build is discarded, never
+    half-published), so nothing needs forcing before the structure is
+    shared. Derived structures start with empty caches.
+    @raise Not_found for undeclared relations.
+    @raise Invalid_argument if the relation is not binary. *)
+val out_rows : t -> string -> Csr.t
+
+val in_rows : t -> string -> Csr.t
+
 (** Symmetric, self-loop-free Gaifman adjacency of the structure as CSR
     rows: [u ~ v] iff distinct [u], [v] co-occur in some tuple. Built
     once on first use and cached; like the membership indexes, force it

@@ -11,47 +11,82 @@ let rec subsets_of_size n k start =
     List.map (fun rest -> start :: rest) (subsets_of_size n (k - 1) (start + 1))
     @ subsets_of_size n k (start + 1)
 
+(* Adjacency of "E" as bitset rows: [adjacent z u] iff [E(z,u)]. *)
+let bitset_rows g =
+  let n = Structure.size g in
+  let stride = (n + 7) / 8 in
+  let bits = Bytes.make (n * stride) '\000' in
+  Structure.iter_rel2 g "E" (fun z u ->
+      let i = (z * stride) + (u lsr 3) in
+      Bytes.set_uint8 bits i (Bytes.get_uint8 bits i lor (1 lsl (u land 7))));
+  fun z u ->
+    Bytes.get_uint8 bits ((z * stride) + (u lsr 3)) land (1 lsl (u land 7)) <> 0
+
 let kec_failure ~k g =
   let n = Structure.size g in
-  let adjacent u v = Structure.mem g "E" [| u; v |] in
+  let adjacent = bitset_rows g in
   (* For each subset S with 1 <= |S| <= k, every adjacency bitmask over S
-     must be realized by some z outside S. *)
+     must be realized by some z outside S. Subsets S = s.(0) < .. <
+     s.(size-1) come in lexicographic order; [masks.(d).(z)] is z's
+     adjacency mask over s.(0..d), extended one element per level. The
+     first failure is the first subset with an unrealized mask, and its
+     smallest such mask. *)
+  let s = Array.make (max k 1) 0 in
+  let in_s = Array.make n false in
+  let masks = Array.init (max k 1) (fun _ -> Array.make n 0) in
+  let none = Array.make n 0 in
+  let seen = Array.make (1 lsl max k 1) 0 and stamp = ref 0 in
+  let witness size =
+    incr stamp;
+    let total = 1 lsl size and realized = ref 0 and z = ref 0 in
+    let last = masks.(size - 1) in
+    while !realized < total && !z < n do
+      if not in_s.(!z) then begin
+        let m = last.(!z) in
+        if seen.(m) <> !stamp then begin
+          seen.(m) <- !stamp;
+          incr realized
+        end
+      end;
+      incr z
+    done;
+    if !realized = total then None
+    else
+      let mask = ref 0 in
+      while seen.(!mask) = !stamp do
+        incr mask
+      done;
+      let side bit =
+        List.filter_map
+          (fun i -> if (!mask lsr i) land 1 = bit then Some s.(i) else None)
+          (List.init size Fun.id)
+      in
+      Some (side 1, side 0)
+  in
+  let rec choose size d start =
+    if d = size then witness size
+    else
+      let rec next v =
+        if v > n - (size - d) then None
+        else begin
+          s.(d) <- v;
+          in_s.(v) <- true;
+          let prev = if d = 0 then none else masks.(d - 1) in
+          let cur = masks.(d) and bit = 1 lsl d in
+          for z = 0 to n - 1 do
+            cur.(z) <- (if adjacent z v then prev.(z) lor bit else prev.(z))
+          done;
+          let found = choose size (d + 1) (v + 1) in
+          in_s.(v) <- false;
+          match found with None -> next (v + 1) | Some _ -> found
+        end
+      in
+      next start
+  in
   let rec try_sizes size =
     if size > k then None
     else
-      let failure =
-        List.find_map
-          (fun s ->
-            let s_arr = Array.of_list s in
-            let width = Array.length s_arr in
-            let seen = Array.make (1 lsl width) false in
-            List.iter
-              (fun z ->
-                if not (List.mem z s) then begin
-                  let mask = ref 0 in
-                  Array.iteri
-                    (fun i u -> if adjacent z u then mask := !mask lor (1 lsl i))
-                    s_arr;
-                  seen.(!mask) <- true
-                end)
-              (Structure.domain g);
-            let missing = ref None in
-            Array.iteri
-              (fun mask present ->
-                if (not present) && !missing = None then missing := Some mask)
-              seen;
-            match !missing with
-            | None -> None
-            | Some mask ->
-                let xs =
-                  List.filteri (fun i _ -> mask land (1 lsl i) <> 0) s
-                and ys =
-                  List.filteri (fun i _ -> mask land (1 lsl i) = 0) s
-                in
-                Some (xs, ys))
-          (subsets_of_size n size 0)
-      in
-      match failure with None -> try_sizes (size + 1) | Some _ -> failure
+      match choose size 0 0 with None -> try_sizes (size + 1) | found -> found
   in
   try_sizes 1
 

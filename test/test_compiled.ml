@@ -252,6 +252,13 @@ let test_budget_poll_points () =
     (checks_of g (f "E(x,y)"));
   checki "query with a quantifier" (4 + 9)
     (checks_of g (f "exists z. E(x,z) & E(z,y)"));
+  (* A guarded scan is polled once on entry, like a full one, but only
+     walks its row: below, each guarded row has one element, so the inner
+     scan is entered 3 times instead of 6 (exists) or 9 (forall). *)
+  checki "guarded exists: one check per scan entered" (1 + 3 + 3)
+    (checks_of g (f "forall x. exists y. (forall z. z = z) & E(y,x)"));
+  checki "guarded forall: one check per scan entered" (1 + 3 + 3)
+    (checks_of g (f "forall x. forall y. (exists z. x = z) | !E(x,y)"));
   (* Fuel [n] runs out at the [n]-th check: a one-check run needs 2. *)
   let phi = f "exists x. E(x,x)" in
   (match budgeted (Budget.create ~fuel:1 ~poll_interval:1 ()) g phi with
@@ -382,6 +389,30 @@ let prop_ef_random_graphs =
           Ef.duplicator_wins ~config ~rounds:2 a b = reference)
         ef_configs)
 
+(* Guard-biased formulas: every guarded scan must answer exactly what
+   the full scan would, on set-backed graphs and on the same graphs
+   forced to CSR rows. *)
+let prop_guarded =
+  QCheck2.Test.make ~count:500
+    ~name:"guarded scans: compiled agrees with naive Eval (set and CSR)"
+    ~print:Guard_gen.print
+    QCheck2.Gen.(pair Guard_gen.small_graph Guard_gen.formula)
+    (fun (g, phi) ->
+      Guard_gen.agree g phi && Guard_gen.agree (Structure.to_csr g) phi)
+
+let prop_guarded_definable_relation =
+  QCheck2.Test.make ~count:200
+    ~name:"guarded answer variables: definable_relation under var reorder"
+    ~print:Guard_gen.print
+    QCheck2.Gen.(pair Guard_gen.small_graph Guard_gen.formula)
+    (fun (g, phi) ->
+      List.for_all
+        (fun vars ->
+          Tuple.Set.equal
+            (Eval.definable_relation g phi ~vars)
+            (Compiled.definable_relation g phi ~vars))
+        [ [ "z"; "y"; "x" ]; [ "x"; "w"; "z"; "y" ] ])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -391,6 +422,8 @@ let qcheck_cases =
       prop_budget_fuel;
       prop_budget_injected;
       prop_ef_random_graphs;
+      prop_guarded;
+      prop_guarded_definable_relation;
     ]
 
 let () =

@@ -5,6 +5,7 @@
    worker count, and under budget fault injection. *)
 
 module Signature = Fmtk_logic.Signature
+module Formula = Fmtk_logic.Formula
 module Parser = Fmtk_logic.Parser
 module Structure = Fmtk_structure.Structure
 module Csr = Fmtk_structure.Csr
@@ -70,6 +71,65 @@ let test_backend_selection () =
   checkb "of_graph is csr" true
     (Structure.rel_backend (Gen.torus 3 3) "E" = `Csr)
 
+(* ---------- Adjacency rows (guarded-scan access paths) ---------- *)
+
+let test_rows_cache () =
+  let edges = [ (0, 1); (0, 2); (2, 0); (3, 3) ] in
+  let g =
+    Structure.make Signature.graph ~size:4
+      [ ("E", List.map (fun (u, v) -> [| u; v |]) edges) ]
+  in
+  let src = Array.of_list (List.map fst edges)
+  and dst = Array.of_list (List.map snd edges) in
+  let expect_out = Csr.of_edges ~n:4 (src, dst)
+  and expect_in = Csr.of_edges ~n:4 (dst, src) in
+  checkb "transpose" true (Csr.equal (Csr.transpose expect_out) expect_in);
+  checkb "out rows (set-backed)" true
+    (Csr.equal (Structure.out_rows g "E") expect_out);
+  checkb "in rows (set-backed)" true
+    (Csr.equal (Structure.in_rows g "E") expect_in);
+  checkb "cached" true (Structure.in_rows g "E" == Structure.in_rows g "E");
+  (* A CSR-backed relation is its own out-rows. *)
+  let c = Structure.to_csr g in
+  checkb "csr reused" true
+    (match Structure.csr_of_rel c "E" with
+    | Some rows -> rows == Structure.out_rows c "E"
+    | None -> false);
+  checkb "in rows (csr-backed)" true
+    (Csr.equal (Structure.in_rows c "E") expect_in);
+  (* A derived structure rebuilds its rows. *)
+  let d = Structure.with_rel g "E" 2 (Tuple.Set.singleton [| 1; 3 |]) in
+  checkb "derived rows" true
+    (Csr.equal (Structure.in_rows d "E") (Csr.of_edges ~n:4 ([| 3 |], [| 1 |])));
+  checkb "parent unchanged" true (Csr.equal (Structure.in_rows g "E") expect_in);
+  (try
+     ignore (Structure.out_rows (Gen.set 3) "E");
+     Alcotest.fail "undeclared relation must raise"
+   with Not_found -> ());
+  let ternary =
+    Structure.make (Signature.make [ ("R", 3) ]) ~size:2 [ ("R", [ [| 0; 1; 1 |] ]) ]
+  in
+  try
+    ignore (Structure.in_rows ternary "R");
+    Alcotest.fail "non-binary relation must raise"
+  with Invalid_argument _ -> ()
+
+let test_rows_two_domains () =
+  (* Both domains fill the same empty caches at once; every answer is
+     the right rows, and the cache settles on one copy. *)
+  for _ = 1 to 20 do
+    let g = Gen.random_graph ~rng:(Random.State.make [| 7 |]) 60 0.1 in
+    let fill () = (Structure.out_rows g "E", Structure.in_rows g "E") in
+    let d = Domain.spawn fill in
+    let out1, in1 = fill () in
+    let out2, in2 = Domain.join d in
+    let out, inn = fill () in
+    checkb "out agree" true (Csr.equal out1 out2 && (out == out1 || out == out2));
+    checkb "in agree" true
+      (Csr.equal in1 in2 && Csr.equal inn (Csr.transpose out)
+      && (inn == in1 || inn == in2))
+  done
+
 (* ---------- Differential properties ----------
 
    Both backends of the same structure must agree observably. The
@@ -122,6 +182,26 @@ let prop_compiled_agrees =
               vars' = vars && Tuple.Set.equal ans naive)
             [ s; c ])
         queries)
+
+(* Guard-biased formulas on graphs big enough that [Structure.make]
+   stores E as CSR rows by itself: guarded scans then walk the
+   relation's own rows (out) and their transpose (in). The naive oracle
+   costs n^(rank + free variables), so formulas stay within 2: enough
+   for a variable, constant or answer-variable guard. *)
+let prop_guarded_auto_csr =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 70 80 in
+      let* g = Guard_gen.graph ~n ~m:(Structure.csr_auto_threshold * 3) in
+      let* phi = Guard_gen.formula_of ~size:2 in
+      return (g, phi))
+  in
+  QCheck2.Test.make ~count:40 ~print:Guard_gen.print
+    ~name:"guarded scans above csr_auto_threshold: compiled = naive" gen
+    (fun (g, phi) ->
+      QCheck2.assume
+        (Formula.quantifier_rank phi + List.length (Formula.free_vars phi) <= 2);
+      Structure.rel_backend g "E" = `Csr && Guard_gen.agree g phi)
 
 let prop_structure_equal =
   QCheck2.Test.make ~count:100 ~name:"equal/mem/rel_count: csr = set" gen_graph
@@ -329,6 +409,7 @@ let qcheck_cases =
       prop_hanf_agrees;
       prop_bounded_degree_agrees;
       prop_compiled_agrees;
+      prop_guarded_auto_csr;
     ]
 
 let () =
@@ -339,6 +420,8 @@ let () =
           Alcotest.test_case "normalized rows" `Quick test_csr_normalized;
           Alcotest.test_case "append and relabel" `Quick test_csr_append_relabel;
           Alcotest.test_case "degrees" `Quick test_csr_degrees;
+          Alcotest.test_case "rows cache" `Quick test_rows_cache;
+          Alcotest.test_case "rows from two domains" `Quick test_rows_two_domains;
         ] );
       ( "backend",
         [

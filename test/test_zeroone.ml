@@ -243,7 +243,58 @@ let prop_zero_one_dichotomy =
       in
       a = b)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_zero_one_dichotomy ]
+(* [Extension.kec_failure] against the definition read literally: sizes
+   1..k, subsets in lexicographic order, masks in increasing order, the
+   first mask no z outside S realizes. *)
+let reference_kec_failure ~k g =
+  let n = Structure.size g in
+  let adjacent z u = Structure.mem g "E" [| z; u |] in
+  let rec subsets size start =
+    if size = 0 then [ [] ]
+    else if start >= n then []
+    else
+      List.map (fun rest -> start :: rest) (subsets (size - 1) (start + 1))
+      @ subsets size (start + 1)
+  in
+  let realized s mask =
+    List.exists
+      (fun z ->
+        (not (List.mem z s))
+        && List.for_all2
+             (fun i u -> adjacent z u = ((mask lsr i) land 1 = 1))
+             (List.init (List.length s) Fun.id) s)
+      (List.init n Fun.id)
+  in
+  List.find_map
+    (fun s ->
+      List.find_map
+        (fun mask ->
+          if realized s mask then None
+          else
+            let side bit =
+              List.filteri (fun i _ -> (mask lsr i) land 1 = bit) s
+            in
+            Some (side 1, side 0))
+        (List.init (1 lsl List.length s) Fun.id))
+    (List.concat_map (fun size -> subsets size 0) (List.init k succ))
+
+let prop_kec_failure_reference =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = int_range 0 9 in
+    let* p = float_range 0.2 0.8 in
+    let* seed = int in
+    let* k = int_range 0 3 in
+    let rng = Random.State.make [| seed |] in
+    (* Directed graphs too: the verifier reads E(z,u) as given. *)
+    return (k, Gen.random_graph ~rng n p)
+  in
+  QCheck2.Test.make ~count:300 ~name:"kec_failure = definition, same witness"
+    gen (fun (k, g) -> Extension.kec_failure ~k g = reference_kec_failure ~k g)
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_zero_one_dichotomy; prop_kec_failure_reference ]
 
 let () =
   Alcotest.run "fmtk_zeroone"

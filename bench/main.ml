@@ -72,6 +72,29 @@ let run_bechamel tests =
 
 let bench name fn = Bechamel.Test.make ~name (Bechamel.Staged.stage fn)
 
+(* Direct wall-clock measurement: Bechamel's OLS is great for shapes, but
+   the speedup table wants plain ratios of ns/run on identical work. *)
+let time_ns ?(warmup = true) ~iters fn =
+  if warmup then ignore (Sys.opaque_identity (fn ()));
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (fn ()))
+  done;
+  let t1 = Unix.gettimeofday () in
+  (t1 -. t0) *. 1e9 /. float_of_int iters
+
+(* Median, min and max of a sample list. *)
+let spread xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  (a.(Array.length a / 2), a.(0), a.(Array.length a - 1))
+
+(* [samples] timings of [fn] in ns/run, each over enough runs to last
+   about 30 ms (one run at least). *)
+let sample_ns ~samples fn =
+  let iters = max 1 (int_of_float (3e7 /. time_ns ~iters:1 fn)) in
+  spread (List.init samples (fun _ -> time_ns ~iters fn))
+
 (* ---------- E1: combined complexity O(n^k) ---------- *)
 
 let nested_forall k =
@@ -574,32 +597,46 @@ let e17 () =
 
 (* ---------- E18: Datalog naive vs semi-naive ---------- *)
 
+(* Samples per E18/E20 wall-clock row, printed as median [min, max]. *)
+let recursive_samples = 5
+
+let pf_sampled name (m, lo, hi) =
+  pf "  %-34s %12.1f [%12.1f, %12.1f]@." name (m /. 1e3) (lo /. 1e3)
+    (hi /. 1e3)
+
 let e18 () =
-  pf "TC on the n-chain: fixpoint work (join steps):@.";
-  pf "  %6s %12s %12s %8s@." "n" "naive" "semi-naive" "ratio";
+  pf "TC on the n-chain: fixpoint work (rule-body matches):@.";
+  pf "  %6s %12s %12s %8s %12s@." "n" "naive" "semi-naive" "ratio" "iterations";
   List.iter
     (fun n ->
       let db = Engine.Db.of_structure (Gen.successor n) in
       let _, s1 = Engine.naive Programs.transitive_closure db in
       let _, s2 = Engine.seminaive Programs.transitive_closure db in
-      pf "  %6d %12d %12d %8.1f@." n s1.Engine.join_work s2.Engine.join_work
-        (float_of_int s1.Engine.join_work /. float_of_int s2.Engine.join_work))
+      pf "  %6d %12d %12d %8.1f %12d@." n s1.Engine.join_work
+        s2.Engine.join_work
+        (float_of_int s1.Engine.join_work /. float_of_int s2.Engine.join_work)
+        s2.Engine.iterations)
     [ 8; 16; 32; 48 ];
   pf "Shape: the naive/semi-naive ratio grows with n.@.";
-  pf "@.Wall-clock (Bechamel):@.";
-  let tests =
-    List.concat_map
-      (fun n ->
-        let db = Engine.Db.of_structure (Gen.successor n) in
-        [
-          bench (Printf.sprintf "naive      n=%-3d" n) (fun () ->
-              Engine.naive Programs.transitive_closure db);
-          bench (Printf.sprintf "semi-naive n=%-3d" n) (fun () ->
-              Engine.seminaive Programs.transitive_closure db);
-        ])
-      [ 16; 32 ]
+  pf "@.Wall-clock, µs per run, median [min, max] of %d samples:@."
+    recursive_samples;
+  let row name program s =
+    let db = Engine.Db.of_structure s in
+    pf_sampled name (sample_ns ~samples:recursive_samples (fun () -> program db))
   in
-  run_bechamel (Bechamel.Test.make_grouped ~name:"E18" tests)
+  List.iter
+    (fun n ->
+      let chain = Gen.successor n in
+      row (Printf.sprintf "naive TC chain n=%d" n)
+        (Engine.naive Programs.transitive_closure) chain;
+      row (Printf.sprintf "semi-naive TC chain n=%d" n)
+        (Engine.seminaive Programs.transitive_closure) chain)
+    [ 8; 16; 32; 64 ];
+  List.iter
+    (fun d ->
+      row (Printf.sprintf "semi-naive SG tree depth %d" d)
+        (Engine.seminaive Programs.same_generation) (Gen.binary_tree d))
+    [ 4; 5; 6 ]
 
 (* ---------- E19: beyond FO — MSO and existential SO ---------- *)
 
@@ -669,14 +706,14 @@ let e20 () =
   let module Fp = Fmtk_fixpoint.Fp_formula in
   let module Fp_eval = Fmtk_fixpoint.Fp_eval in
   pf "TC as an IFP formula — stages grow with the data (FO cannot iterate):@.";
-  pf "  %6s %8s %14s %18s@." "n" "stages" "tuples tested" "matches matrix TC";
+  pf "  %6s %8s %14s %18s@." "n" "stages" "tuples derived" "matches matrix TC";
   List.iter
     (fun n ->
       let g = Gen.successor n in
       let stats = Fp_eval.new_stats () in
       let ans = Fp_eval.answers ~stats g Fp.transitive_closure ~vars:[ "u"; "v" ] in
       pf "  %6d %8d %14d %18b@." n stats.Fp_eval.stages
-        stats.Fp_eval.tuples_tested
+        stats.Fp_eval.tuples_derived
         (Fmtk_structure.Tuple.Set.equal ans (Graph.transitive_closure g)))
     [ 4; 8; 12; 16 ];
   pf "Connectivity and EVEN-with-order in FO(IFP):@.";
@@ -698,21 +735,21 @@ let e20 () =
     "Immerman–Vardi in action: with an order, the fixpoint logic expresses \
      EVEN,@.";
   pf "which Theorem 3.1 proved impossible for FO.@.";
-  pf "@.Wall-clock: IFP evaluator vs the Datalog engine on TC (Bechamel):@.";
-  let tests =
-    List.concat_map
-      (fun n ->
-        let g = Gen.successor n in
-        let db = Engine.Db.of_structure g in
-        [
-          bench (Printf.sprintf "IFP answers  n=%-3d" n) (fun () ->
-              Fp_eval.answers g Fp.transitive_closure ~vars:[ "u"; "v" ]);
-          bench (Printf.sprintf "semi-naive   n=%-3d" n) (fun () ->
-              Engine.seminaive Programs.transitive_closure db);
-        ])
-      [ 8; 16 ]
-  in
-  run_bechamel (Bechamel.Test.make_grouped ~name:"E20" tests)
+  pf "@.Wall-clock on TC chains, µs per run, median [min, max] of %d samples:@."
+    recursive_samples;
+  List.iter
+    (fun n ->
+      let g = Gen.successor n in
+      let db = Engine.Db.of_structure g in
+      pf_sampled
+        (Printf.sprintf "IFP answers n=%d" n)
+        (sample_ns ~samples:recursive_samples (fun () ->
+             Fp_eval.answers g Fp.transitive_closure ~vars:[ "u"; "v" ]));
+      pf_sampled
+        (Printf.sprintf "Datalog semi-naive n=%d" n)
+        (sample_ns ~samples:recursive_samples (fun () ->
+             Engine.seminaive Programs.transitive_closure db)))
+    [ 8; 16; 32; 64 ]
 
 (* ---------- E21: trees — automata vs MSO (Thatcher–Wright) ---------- *)
 
@@ -854,17 +891,6 @@ let scaling_grid () =
       let base = List.filter (fun w -> w <= k) [ 1; 2; 4; 8 ] in
       if List.mem k base then base else base @ [ k ]
 
-(* Direct wall-clock measurement: Bechamel's OLS is great for shapes, but
-   the speedup table wants plain ratios of ns/run on identical work. *)
-let time_ns ?(warmup = true) ~iters fn =
-  if warmup then ignore (Sys.opaque_identity (fn ()));
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (fn ()))
-  done;
-  let t1 = Unix.gettimeofday () in
-  (t1 -. t0) *. 1e9 /. float_of_int iters
-
 (* A G(n, m) random digraph: [m] distinct loop-free edges. *)
 let gnm ~rng n m =
   let edges = Hashtbl.create m in
@@ -914,18 +940,6 @@ let e23_eval_workloads () =
 let run_compiled ?budget ct =
   if Compiled.free_vars ct = [] then ignore (Compiled.run ?budget ct [||])
   else ignore (Compiled.definable_relation_of ?budget ct)
-
-(* Median, min and max of a sample list. *)
-let spread xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  (a.(Array.length a / 2), a.(0), a.(Array.length a - 1))
-
-(* [samples] timings of [fn] in ns/run, each over enough runs to last
-   about 30 ms (one run at least). *)
-let sample_ns ~samples fn =
-  let iters = max 1 (int_of_float (3e7 /. time_ns ~iters:1 fn)) in
-  spread (List.init samples (fun _ -> time_ns ~iters fn))
 
 (* E23 eval samples per workload. The naive interpreter is not timed
    where it would take minutes: it enumerates all n^k candidate tuples

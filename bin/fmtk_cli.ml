@@ -159,6 +159,37 @@ let budget_term =
   in
   Term.(const mk $ timeout $ fuel)
 
+(* ---- input checks ----
+
+   A formula or canonical query that does not fit its structure is an
+   input error (exit 1), caught here before an evaluator raises on it. *)
+
+let ( let* ) = Result.bind
+let input_error fmt = Format.kasprintf (fun m -> Error (`Msg m)) fmt
+
+let fits sg phi =
+  if Formula.wf sg phi then Ok ()
+  else input_error "formula does not fit the signature %a" Signature.pp sg
+
+let sentence phi =
+  if Formula.is_sentence phi then Ok ()
+  else
+    input_error "not a sentence (free: %s)"
+      (String.concat ", " (Formula.free_vars phi))
+
+(* A canonical query over the signature [need] reads all its relations. *)
+let reads need s =
+  let sg = Structure.signature s in
+  match
+    List.find_opt
+      (fun r -> not (List.mem r (Signature.rels sg)))
+      (Signature.rels need)
+  with
+  | None -> Ok ()
+  | Some (r, k) ->
+      input_error "the query reads %s/%d, not in the signature %a" r k
+        Signature.pp sg
+
 (* One tuple a line, flushed once at the end: a per-line [@.] flush
    costs one write(2) per answer. *)
 let print_tuples tuples =
@@ -170,6 +201,7 @@ let print_tuples tuples =
 let eval_cmd =
   let run s phi use_ra any explain budget =
     exec @@ fun () ->
+    let* () = fits (Structure.signature s) phi in
     let fv = Formula.free_vars phi in
     if explain then begin
       (* print the three plan stages without evaluating *)
@@ -408,6 +440,8 @@ let hanf_cmd =
 let mu_cmd =
   let run phi n trials seed =
     exec @@ fun () ->
+    let* () = sentence phi in
+    let* () = fits Signature.graph phi in
     let rng = Random.State.make [| seed |] in
     let m = Estimator.mu_formula ~rng ~trials Signature.graph n phi in
     Format.printf "μ_%d ≈ %.4f  (%d trials)@." n m trials;
@@ -427,6 +461,8 @@ let mu_cmd =
 let decide_cmd =
   let run phi size seed =
     exec @@ fun () ->
+    let* () = sentence phi in
+    let* () = fits Signature.graph phi in
     let source =
       match size with
       | Some sz -> Almost_sure.Search (Random.State.make [| seed |], sz)
@@ -453,6 +489,8 @@ let decide_cmd =
 let circuit_cmd =
   let run phi size =
     exec @@ fun () ->
+    let* () = sentence phi in
+    let* () = fits Signature.graph phi in
     let compiled = Fo_circuit.compile Signature.graph ~size phi in
     Format.printf "domain size %d: circuit size %d, depth %d, %d inputs@."
       size
@@ -473,34 +511,26 @@ let circuit_cmd =
 let datalog_cmd =
   let run s program strategy budget =
     exec @@ fun () ->
-    match
+    let* prog, pred =
       match program with
       | "tc" -> Ok (Programs.transitive_closure, "tc")
       | "sg" -> Ok (Programs.same_generation, "sg")
       | "unreach" -> Ok (Programs.unreachable, "unreach")
-      | other ->
-          Error (`Msg (Printf.sprintf "unknown program %S (tc|sg|unreach)" other))
-    with
-    | Error _ as e -> e
-    | Ok (prog, pred) -> (
-        match
-          match strategy with
-          | "naive" -> Ok (Engine.naive ~budget prog)
-          | "seminaive" -> Ok (Engine.seminaive ~budget prog)
-          | other ->
-              Error
-                (`Msg (Printf.sprintf "unknown strategy %S (naive|seminaive)" other))
-        with
-        | Error _ as e -> e
-        | Ok eval ->
-            let db = Engine.Db.of_structure s in
-            let result, stats = eval db in
-            let tuples = Engine.Db.find result pred in
-            Format.printf "%s: %d tuples (%d iterations, %d join steps)@." pred
-              (Tuple.Set.cardinal tuples)
-              stats.Engine.iterations stats.Engine.join_work;
-            print_tuples tuples;
-            Ok ())
+      | other -> input_error "unknown program %S (tc|sg|unreach)" other
+    in
+    let* eval =
+      match strategy with
+      | "naive" -> Ok (Engine.naive ~budget prog)
+      | "seminaive" -> Ok (Engine.seminaive ~budget prog)
+      | other -> input_error "unknown strategy %S (naive|seminaive)" other
+    in
+    let result, stats = eval (Engine.Db.of_structure s) in
+    let tuples = Engine.Db.find result pred in
+    Format.printf "%s: %d tuples (%d iterations, %d join steps)@." pred
+      (Tuple.Set.cardinal tuples)
+      stats.Engine.iterations stats.Engine.join_work;
+    print_tuples tuples;
+    Ok ()
   in
   let program =
     Arg.(
@@ -579,20 +609,17 @@ let qbf_cmd =
 let mso_cmd =
   let run s query budget =
     exec @@ fun () ->
-    match
+    let* phi, need =
       match query with
-      | "even" -> Ok Fmtk_so.So_queries.even_on_orders
-      | "conn" -> Ok Fmtk_so.So_queries.connectivity
-      | "3col" -> Ok Fmtk_so.So_queries.three_colorable
-      | "ham" -> Ok Fmtk_so.So_queries.hamiltonian_path
-      | other ->
-          Error
-            (`Msg (Printf.sprintf "unknown MSO query %S (even|conn|3col|ham)" other))
-    with
-    | Error _ as e -> e
-    | Ok phi ->
-        Format.printf "%b@." (Fmtk_so.So_eval.sat ~budget s phi);
-        Ok ()
+      | "even" -> Ok (Fmtk_so.So_queries.even_on_orders, Signature.order)
+      | "conn" -> Ok (Fmtk_so.So_queries.connectivity, Signature.graph)
+      | "3col" -> Ok (Fmtk_so.So_queries.three_colorable, Signature.graph)
+      | "ham" -> Ok (Fmtk_so.So_queries.hamiltonian_path, Signature.graph)
+      | other -> input_error "unknown MSO query %S (even|conn|3col|ham)" other
+    in
+    let* () = reads need s in
+    Format.printf "%b@." (Fmtk_so.So_eval.sat ~budget s phi);
+    Ok ()
   in
   let query =
     Arg.(
@@ -613,30 +640,26 @@ let ifp_cmd =
     let module Fp = Fmtk_fixpoint.Fp_formula in
     let module Fp_eval = Fmtk_fixpoint.Fp_eval in
     let stats = Fp_eval.new_stats () in
-    match
+    let* need, closed =
       match query with
-      | "tc" ->
-          let tuples =
-            Fp_eval.answers ~stats ~budget s Fp.transitive_closure
-              ~vars:[ "u"; "v" ]
-          in
-          Format.printf "tc: %d pairs@." (Tuple.Set.cardinal tuples);
-          print_tuples tuples;
-          Ok ()
-      | "conn" ->
-          Format.printf "%b@." (Fp_eval.sat ~stats ~budget s Fp.connectivity);
-          Ok ()
-      | "even" ->
-          Format.printf "%b@." (Fp_eval.sat ~stats ~budget s Fp.even_on_orders);
-          Ok ()
-      | other ->
-          Error (`Msg (Printf.sprintf "unknown IFP query %S (tc|conn|even)" other))
-    with
-    | Error _ as e -> e
-    | Ok () ->
-        Format.printf "(%d fixpoint stages, %d tuples tested)@."
-          stats.Fp_eval.stages stats.Fp_eval.tuples_tested;
-        Ok ()
+      | "tc" -> Ok (Signature.graph, None)
+      | "conn" -> Ok (Signature.graph, Some Fp.connectivity)
+      | "even" -> Ok (Signature.order, Some Fp.even_on_orders)
+      | other -> input_error "unknown IFP query %S (tc|conn|even)" other
+    in
+    let* () = reads need s in
+    (match closed with
+    | Some phi -> Format.printf "%b@." (Fp_eval.sat ~stats ~budget s phi)
+    | None ->
+        let tuples =
+          Fp_eval.answers ~stats ~budget s Fp.transitive_closure
+            ~vars:[ "u"; "v" ]
+        in
+        Format.printf "tc: %d pairs@." (Tuple.Set.cardinal tuples);
+        print_tuples tuples);
+    Format.printf "(%d fixpoint stages, %d tuples derived)@."
+      stats.Fp_eval.stages stats.Fp_eval.tuples_derived;
+    Ok ()
   in
   let query =
     Arg.(

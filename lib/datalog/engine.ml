@@ -1,6 +1,9 @@
 module Tuple = Fmtk_structure.Tuple
 module Structure = Fmtk_structure.Structure
 module Signature = Fmtk_logic.Signature
+module Formula = Fmtk_logic.Formula
+module Term = Fmtk_logic.Term
+module Compiled = Fmtk_eval.Compiled
 module Budget = Fmtk_runtime.Budget
 module SMap = Map.Make (String)
 
@@ -36,74 +39,93 @@ end
 
 type stats = { iterations : int; join_work : int }
 
-(* Environments are association lists variable -> value. *)
-let match_atom env (a : Ast.atom) tup =
-  let rec go env args i =
-    match args with
-    | [] -> Some env
-    | Ast.C c :: rest -> if tup.(i) = c then go env rest (i + 1) else None
-    | Ast.V x :: rest -> (
-        match List.assoc_opt x env with
-        | Some v -> if tup.(i) = v then go env rest (i + 1) else None
-        | None -> go ((x, tup.(i)) :: env) rest (i + 1))
+(* ---- Rules as FO queries ----
+
+   A rule body is a conjunction of atoms and negated atoms, answered by
+   [Compiled] on a structure that holds every predicate as a relation.
+   Semi-naive rounds read the last round's new tuples of [p] under the
+   relation name [delta p]; a program constant [c] is the structure's
+   constant [const_name c]. The fmtk parsers produce neither name. *)
+
+let delta p = "Δ" ^ p
+let const_name c = "#" ^ string_of_int c
+let term = function Ast.V x -> Term.Var x | Ast.C c -> Term.Const (const_name c)
+let atom (a : Ast.atom) = Formula.Rel (a.pred, List.map term a.args)
+
+(* A rule body ready to run: its formula, its answer variables, and the
+   map from an answer tuple to the head tuple it derives. *)
+type query = {
+  head_pred : string;
+  body : Formula.t;
+  vars : string list;
+  head : int array -> int array;
+}
+
+let query (head : Ast.atom) body =
+  (* Positive literals first: the answer variables, in order of first
+     occurrence, then come from them, and each can walk an adjacency row
+     of an earlier one. Range restriction puts every head variable among
+     them. *)
+  let pos, neg =
+    List.partition (function Ast.Pos _ -> true | Ast.Neg _ -> false) body
   in
-  if Array.length tup <> List.length a.args then None else go env a.args 0
-
-let ground_atom env (a : Ast.atom) =
-  Array.of_list
-    (List.map
-       (function
-         | Ast.C c -> c
-         | Ast.V x -> (
-             match List.assoc_opt x env with
-             | Some v -> v
-             | None ->
-                 invalid_arg
-                   (Printf.sprintf "Datalog: unbound variable %S in %s" x a.pred)))
-       a.args)
-
-(* Reorder body so negated literals come after the positives that bind
-   their variables (range restriction guarantees this is possible by
-   putting all negatives last). *)
-let ordered_body (r : Ast.rule) =
-  let pos, neg = List.partition (function Ast.Pos _ -> true | Ast.Neg _ -> false) r.body in
-  pos @ neg
-
-(* Evaluate one rule against [lookup : pred -> Tuple.Set.t], with one
-   designated positive occurrence forced to range over [delta_lookup]
-   instead (for semi-naive); [delta_slot = -1] means no substitution.
-   Returns derived head tuples, accumulating join work in [work]. *)
-let eval_rule ~work ~poller ~lookup ?(delta_slot = -1) ?delta_lookup
-    (r : Ast.rule) =
-  let body = ordered_body r in
-  let derived = ref Tuple.Set.empty in
-  let rec go env slot = function
-    | [] -> derived := Tuple.Set.add (ground_atom env r.head) !derived
-    | Ast.Pos a :: rest ->
-        let source =
-          if slot = delta_slot then (Option.get delta_lookup) a.pred
-          else lookup a.pred
-        in
-        Tuple.Set.iter
-          (fun tup ->
-            (* One budget check per unit of join work: the poll-interval
-               counter amortizes it to a decrement on the hot path. *)
-            Budget.check poller;
-            incr work;
-            match match_atom env a tup with
-            | Some env' -> go env' (slot + 1) rest
-            | None -> ())
-          source
-    | Ast.Neg a :: rest ->
-        Budget.check poller;
-        incr work;
-        if not (Tuple.Set.mem (ground_atom env a) (lookup a.pred)) then
-          go env slot rest
+  let body =
+    Formula.conj
+      (List.map
+         (function Ast.Pos a -> atom a | Ast.Neg a -> Formula.Not (atom a))
+         (pos @ neg))
   in
-  go [] 0 body;
-  !derived
+  let vars = Formula.free_vars body in
+  let cell = function
+    | Ast.V x ->
+        let i = Option.get (List.find_index (String.equal x) vars) in
+        fun tup -> tup.(i)
+    | Ast.C c -> fun _ -> c
+  in
+  let cells = Array.of_list (List.map cell head.args) in
+  {
+    head_pred = head.pred;
+    body;
+    vars;
+    head = (fun tup -> Array.map (fun cell -> cell tup) cells);
+  }
 
-let validate program =
+(* The structure a program starts on: one relation per predicate of the
+   program, over the elements that occur in those relations or as
+   constants. *)
+let structure_of program db =
+  let atoms =
+    List.concat_map
+      (fun (r : Ast.rule) ->
+        r.head :: List.map (function Ast.Pos a | Ast.Neg a -> a) r.body)
+      program
+  in
+  let rels =
+    List.sort_uniq
+      (fun (p, _) (q, _) -> compare p q)
+      (List.map (fun (a : Ast.atom) -> (a.pred, List.length a.args)) atoms)
+  in
+  let consts =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (a : Ast.atom) ->
+           List.filter_map (function Ast.C c -> Some c | Ast.V _ -> None) a.args)
+         atoms)
+  in
+  let tuples p = Tuple.Set.elements (Db.find db p) in
+  let size =
+    List.fold_left
+      (fun m (p, _) -> List.fold_left (Array.fold_left max) m (tuples p))
+      (List.fold_left max (-1) consts)
+      rels
+  in
+  Structure.expand_consts
+    (Structure.make (Signature.make rels) ~size:(size + 1)
+       (List.map (fun (p, _) -> (p, tuples p)) rels))
+    (List.map (fun c -> (const_name c, c)) consts)
+
+(* The strata of a valid program. *)
+let strata program =
   List.iter
     (fun r ->
       match Ast.range_restricted r with
@@ -113,136 +135,88 @@ let validate program =
             (Printf.sprintf "Datalog: rule not range-restricted (variable %S): %s"
                x
                (Format.asprintf "%a" Ast.pp_rule r)))
-    program
-
-let stratified program =
+    program;
   match Ast.stratify program with
   | Ok strata -> strata
   | Error pred ->
       invalid_arg
         (Printf.sprintf "Datalog: predicate %S negatively depends on itself" pred)
 
-let positive_idb_slots stratum_preds (r : Ast.rule) =
-  (* Slots count positive literals only, in [ordered_body] order, matching
-     the slot counter maintained by [eval_rule]. *)
-  let rec go i = function
-    | [] -> []
-    | Ast.Pos a :: rest ->
-        if List.mem a.Ast.pred stratum_preds then i :: go (i + 1) rest
-        else go (i + 1) rest
-    | Ast.Neg _ :: rest -> go i rest
-  in
-  go 0 (ordered_body r)
-
-let naive ?(budget = Budget.unlimited) program db =
-  validate program;
-  let strata = stratified program in
+(* The one fixpoint loop. A stratum's first round runs every rule;
+   each later round runs the [variants] of its rules, on a structure
+   whose deltas hold the tuples the round before derived first, until a
+   round derives nothing new. *)
+let evaluate ~variants ?(budget = Budget.unlimited) program db =
+  let strata = strata program in
   let poller = Budget.poller budget in
-  let work = ref 0 in
-  let iterations = ref 0 in
-  let final =
+  let iterations = ref 0 and work = ref 0 in
+  let derive s queries =
     List.fold_left
-      (fun db stratum ->
-        let rec iterate db =
-          incr iterations;
-          let additions =
-            List.fold_left
-              (fun acc r ->
-                Db.add r.Ast.head.Ast.pred
-                  (eval_rule ~work ~poller ~lookup:(Db.find db) r)
-                  acc)
-              Db.empty stratum
-          in
-          let db' =
-            List.fold_left
-              (fun d pred -> Db.add pred (Db.find additions pred) d)
-              db (Db.preds additions)
-          in
-          let grew =
-            List.exists
-              (fun pred ->
-                Tuple.Set.cardinal (Db.find db' pred)
-                > Tuple.Set.cardinal (Db.find db pred))
-              (Db.preds additions)
-          in
-          if grew then iterate db' else db'
+      (fun acc q ->
+        Budget.check poller;
+        let matches =
+          Compiled.definable_relation ~budget s q.body ~vars:q.vars
         in
-        iterate db)
-      db strata
+        work := !work + Tuple.Set.cardinal matches;
+        Db.add q.head_pred (Tuple.Set.map q.head matches) acc)
+      Db.empty queries
   in
-  (final, { iterations = !iterations; join_work = !work })
+  let stratum (db, s) rules =
+    let preds = Ast.idb_preds rules in
+    let later =
+      List.concat_map
+        (fun (r : Ast.rule) -> List.map (query r.head) (variants preds r))
+        rules
+    in
+    (* Later rounds see a stratum predicate's growth only if they read it;
+       the next strata see its fixpoint. *)
+    let read = List.concat_map (fun q -> Formula.rels_used q.body) later in
+    let rec round db s queries =
+      incr iterations;
+      let derived = derive s queries in
+      let fresh =
+        List.map
+          (fun p -> (p, Tuple.Set.diff (Db.find derived p) (Db.find db p)))
+          preds
+      in
+      let db = List.fold_left (fun db (p, t) -> Db.add p t db) db fresh in
+      let arity p = Signature.arity (Structure.signature s) p in
+      let install s p = Structure.with_rel s p (arity p) (Db.find db p) in
+      if List.for_all (fun (_, t) -> Tuple.Set.is_empty t) fresh then
+        (db, List.fold_left install s preds)
+      else
+        let s =
+          List.fold_left
+            (fun s (p, t) ->
+              let s = if List.mem (p, arity p) read then install s p else s in
+              Structure.with_rel s (delta p) (arity p) t)
+            s fresh
+        in
+        round db s later
+    in
+    round db s (List.map (fun (r : Ast.rule) -> query r.head r.body) rules)
+  in
+  let db, _ = List.fold_left stratum (db, structure_of program db) strata in
+  (db, { iterations = !iterations; join_work = !work })
 
-let seminaive ?(budget = Budget.unlimited) program db =
-  validate program;
-  let strata = stratified program in
-  let poller = Budget.poller budget in
-  let work = ref 0 in
-  let iterations = ref 0 in
-  let final =
-    List.fold_left
-      (fun db stratum ->
-        let stratum_preds = Ast.idb_preds stratum in
-        (* Initial round: plain evaluation gives the first deltas. *)
-        incr iterations;
-        let first =
-          List.fold_left
-            (fun acc r ->
-              Db.add r.Ast.head.Ast.pred
-                (eval_rule ~work ~poller ~lookup:(Db.find db) r)
-                acc)
-            Db.empty stratum
-        in
-        let add_all src dst =
-          List.fold_left
-            (fun d pred -> Db.add pred (Db.find src pred) d)
-            dst (Db.preds src)
-        in
-        let rec iterate db delta =
-          let any_delta =
-            List.exists
-              (fun pred -> not (Tuple.Set.is_empty (Db.find delta pred)))
-              stratum_preds
-          in
-          if not any_delta then db
-          else begin
-            incr iterations;
-            let additions =
-              List.fold_left
-                (fun acc r ->
-                  let slots = positive_idb_slots stratum_preds r in
-                  List.fold_left
-                    (fun acc slot ->
-                      Db.add r.Ast.head.Ast.pred
-                        (eval_rule ~work ~poller ~lookup:(Db.find db)
-                           ~delta_slot:slot ~delta_lookup:(Db.find delta) r)
-                        acc)
-                    acc slots)
-                Db.empty stratum
-            in
-            let fresh =
-              List.fold_left
-                (fun acc pred ->
-                  let new_tuples =
-                    Tuple.Set.diff (Db.find additions pred) (Db.find db pred)
-                  in
-                  Db.add pred new_tuples acc)
-                Db.empty (Db.preds additions)
-            in
-            iterate (add_all fresh db) fresh
-          end
-        in
-        let delta0 =
-          List.fold_left
-            (fun acc pred ->
-              Db.add pred
-                (Tuple.Set.diff (Db.find first pred) (Db.find db pred))
-                acc)
-            Db.empty (Db.preds first)
-        in
-        iterate (add_all delta0 db) delta0)
-      db strata
-  in
-  (final, { iterations = !iterations; join_work = !work })
+let naive = evaluate ~variants:(fun _ (r : Ast.rule) -> [ r.body ])
+
+(* One variant per positive literal over a predicate of the stratum, that
+   literal reading the delta: every derivation that uses a new tuple. *)
+let seminaive =
+  evaluate ~variants:(fun preds (r : Ast.rule) ->
+      List.concat
+        (List.mapi
+           (fun i -> function
+             | Ast.Pos a when List.mem a.pred preds ->
+                 [
+                   List.mapi
+                     (fun j l ->
+                       if i = j then Ast.Pos { a with pred = delta a.pred } else l)
+                     r.body;
+                 ]
+             | Ast.Pos _ | Ast.Neg _ -> [])
+           r.body))
 
 let run ?(strategy = `Seminaive) ?budget program s ~pred =
   let db = Db.of_structure s in

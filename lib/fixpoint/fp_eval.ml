@@ -1,161 +1,118 @@
 module Structure = Fmtk_structure.Structure
-module Term = Fmtk_logic.Term
 module Tuple = Fmtk_structure.Tuple
+module Formula = Fmtk_logic.Formula
+module Term = Fmtk_logic.Term
+module Compiled = Fmtk_eval.Compiled
 module Budget = Fmtk_runtime.Budget
 
-type stats = { mutable stages : int; mutable tuples_tested : int }
+type stats = { mutable stages : int; mutable tuples_derived : int }
 
-let new_stats () = { stages = 0; tuples_tested = 0 }
+let new_stats () = { stages = 0; tuples_derived = 0 }
 
-let eval_term s fo_env = function
-  | Term.Var x -> (
-      match List.assoc_opt x fo_env with
-      | Some e -> e
-      | None -> invalid_arg (Printf.sprintf "Fp_eval: unbound variable %S" x))
-  | Term.Const c -> (
-      match Structure.const s c with
-      | e -> e
-      | exception Not_found ->
-          invalid_arg (Printf.sprintf "Fp_eval: uninterpreted constant %S" c))
-
-(* Environment for fixpoint-bound relation variables. *)
-type rel_env = (string * Tuple.Set.t) list
-
-type cache = (Fp_formula.t * (string * int) list, Tuple.Set.t) Hashtbl.t
-
-let holds_with_cache ~(cache : cache) ?stats ?(budget = Budget.unlimited) s
-    phi ~env =
-  let poller = Budget.poller budget in
-  let bump_stage () =
-    match stats with Some st -> st.stages <- st.stages + 1 | None -> ()
+(* [lower s phi] is [(s', f)]: [f] is [phi] in plain FO over [s'], which
+   extends [s] with one relation per fixpoint node. Bound variables get
+   names of their own, which the fmtk parser cannot produce: widening an
+   atom with parameter columns then never moves a parameter under a
+   binder of the same name. A node [[IFP R(x̄). body](t̄)] whose body has
+   the parameters p̄ (its free variables other than x̄, and those of the
+   nodes around it) becomes the atom [R'(t̄, p̄)] over a fresh relation
+   [R']; inside the body, [R(ū)] reads the current stage as [R'(ū, p̄)].
+   A stage is one [Compiled] answer set over [x̄ @ p̄], covering every
+   parameter value at once; a nested node is recomputed at every stage
+   of the nodes around it. *)
+let lower ~stats ~poller ~budget s phi =
+  let s = ref s and count = ref 0 in
+  let fresh x =
+    incr count;
+    Printf.sprintf "%s'%d" x !count
   in
-  let bump_tuple () =
-    match stats with
-    | Some st -> st.tuples_tested <- st.tuples_tested + 1
-    | None -> ()
-  in
-  let n = Structure.size s in
-  let rec go (fo_env : (string * int) list) (renv : rel_env) f =
-    Budget.check poller;
+  let rename env x = Option.value ~default:x (List.assoc_opt x env) in
+  (* [env] renames bound variables; [rels] maps each fixpoint relation in
+     scope to the relation holding its stage and to its parameters. *)
+  let rec go env rels f =
+    let term = function Term.Var x -> Term.Var (rename env x) | t -> t in
+    let bind x f =
+      let y = fresh x in
+      (y, go ((x, y) :: env) rels f)
+    in
     match f with
-    | Fp_formula.True -> true
-    | Fp_formula.False -> false
-    | Fp_formula.Eq (a, b) -> eval_term s fo_env a = eval_term s fo_env b
+    | Fp_formula.True -> Formula.True
+    | Fp_formula.False -> Formula.False
+    | Fp_formula.Eq (a, b) -> Formula.Eq (term a, term b)
     | Fp_formula.Rel (r, ts) -> (
-        let tup = Array.of_list (List.map (eval_term s fo_env) ts) in
-        match List.assoc_opt r renv with
-        | Some set -> Tuple.Set.mem tup set
-        | None -> (
-            (* Base relations go through the structure's O(1) index;
-               fixpoint-bound relations above evolve stage by stage, so
-               they stay on the plain set. *)
-            match Structure.probe s r tup with
-            | b -> b
-            | exception Not_found ->
-                invalid_arg (Printf.sprintf "Fp_eval: unknown relation %S" r)))
-    | Fp_formula.Not f -> not (go fo_env renv f)
-    | Fp_formula.And (f, g) -> go fo_env renv f && go fo_env renv g
-    | Fp_formula.Or (f, g) -> go fo_env renv f || go fo_env renv g
-    | Fp_formula.Implies (f, g) -> (not (go fo_env renv f)) || go fo_env renv g
+        let ts = List.map term ts in
+        match List.assoc_opt r rels with
+        | Some (name, params) -> Formula.Rel (name, ts @ List.map Formula.v params)
+        | None -> Formula.Rel (r, ts))
+    | Fp_formula.Not f -> Formula.Not (go env rels f)
+    | Fp_formula.And (f, g) -> Formula.And (go env rels f, go env rels g)
+    | Fp_formula.Or (f, g) -> Formula.Or (go env rels f, go env rels g)
+    | Fp_formula.Implies (f, g) -> Formula.Implies (go env rels f, go env rels g)
     | Fp_formula.Exists (x, f) ->
-        let rec scan e =
-          e < n && (go ((x, e) :: fo_env) renv f || scan (e + 1))
-        in
-        scan 0
+        let y, f = bind x f in
+        Formula.Exists (y, f)
     | Fp_formula.Forall (x, f) ->
-        let rec scan e =
-          e >= n || (go ((x, e) :: fo_env) renv f && scan (e + 1))
-        in
-        scan 0
-    | Fp_formula.Ifp (r, vars, body, args) as node ->
-        let k = List.length vars in
-        (* Outer free variables of the operator (not the fixpoint tuple
-           variables themselves) determine the fixpoint set. *)
-        let outer =
-          List.filter
-            (fun x -> not (List.mem x vars))
-            (Fp_formula.free_vars body)
-        in
-        let key =
-          ( node,
-            List.map
-              (fun x ->
-                match List.assoc_opt x fo_env with
-                | Some e -> (x, e)
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf "Fp_eval: unbound variable %S" x))
-              outer )
-        in
-        (* A nested fixpoint whose body mentions an enclosing fixpoint
-           relation varies with that relation's stages — don't cache it. *)
-        let use_cache = renv = [] in
-        let fixpoint =
-          match if use_cache then Hashtbl.find_opt cache key else None with
-          | Some set -> set
-          | None ->
-              let tuples = List.of_seq (Tuple.all n k) in
-              let rec iterate set =
-                bump_stage ();
-                let additions =
-                  List.filter
-                    (fun tup ->
-                      Budget.check poller;
-                      bump_tuple ();
-                      (not (Tuple.Set.mem tup set))
-                      &&
-                      let fo_env' =
-                        List.combine vars (Array.to_list tup) @ fo_env
-                      in
-                      go fo_env' ((r, set) :: renv) body)
-                    tuples
-                in
-                if additions = [] then set
-                else
-                  iterate
-                    (List.fold_left (fun s t -> Tuple.Set.add t s) set additions)
-              in
-              let set = iterate Tuple.Set.empty in
-              if use_cache then Hashtbl.replace cache key set;
-              set
-        in
-        let tup = Array.of_list (List.map (eval_term s fo_env) args) in
-        if Array.length tup <> k then
+        let y, f = bind x f in
+        Formula.Forall (y, f)
+    | Fp_formula.Ifp (r, vars, body, args) ->
+        if List.length args <> List.length vars then
           invalid_arg "Fp_eval: IFP argument arity mismatch";
-        Tuple.Set.mem tup fixpoint
+        let ys = List.map fresh vars in
+        let name = fresh r in
+        let params =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun x -> if List.mem x vars then None else Some (rename env x))
+               (Fp_formula.free_vars body)
+            @ List.concat_map (fun (_, (_, ps)) -> ps) rels)
+        in
+        let columns = ys @ params in
+        let inner_env = List.combine vars ys @ env
+        and inner_rels = (r, (name, params)) :: rels
+        and outer = !s in
+        let rec stage set =
+          Budget.check poller;
+          stats.stages <- stats.stages + 1;
+          s := Structure.with_rel outer name (List.length columns) set;
+          let body = go inner_env inner_rels body in
+          let added =
+            Tuple.Set.diff
+              (Compiled.definable_relation ~budget !s body ~vars:columns)
+              set
+          in
+          if not (Tuple.Set.is_empty added) then begin
+            stats.tuples_derived <-
+              stats.tuples_derived + Tuple.Set.cardinal added;
+            stage (Tuple.Set.union set added)
+          end
+        in
+        stage Tuple.Set.empty;
+        Formula.Rel (name, List.map term args @ List.map Formula.v params)
   in
-  go env [] phi
+  let f = go [] [] phi in
+  (!s, f)
 
-(* Fixpoint-set cache keys include the operator node and its outer free
-   variables, so sharing one cache across calls on the same structure is
-   sound; each public entry point creates its own. *)
+(* Lower [phi] on [s] and compile the result over [vars]. *)
+let compiled ?stats ?(budget = Budget.unlimited) s phi ~vars =
+  let stats = match stats with Some st -> st | None -> new_stats () in
+  let s, f = lower ~stats ~poller:(Budget.poller budget) ~budget s phi in
+  Compiled.compile_with s ~vars f
+
 let holds ?stats ?budget s phi ~env =
-  holds_with_cache ~cache:(Hashtbl.create 8) ?stats ?budget s phi ~env
+  let vars = Fp_formula.free_vars phi in
+  let args =
+    List.map
+      (fun x ->
+        match List.assoc_opt x env with
+        | Some e -> e
+        | None -> invalid_arg (Printf.sprintf "Fp_eval: unbound variable %S" x))
+      vars
+  in
+  Compiled.run ?budget
+    (compiled ?stats ?budget s phi ~vars)
+    (Array.of_list args)
 
-let sat ?stats ?budget s phi =
-  (match Fp_formula.free_vars phi with
-  | [] -> ()
-  | fv ->
-      invalid_arg
-        (Printf.sprintf "Fp_eval.sat: free variables %s" (String.concat ", " fv)));
-  holds ?stats ?budget s phi ~env:[]
+let sat ?stats ?budget s phi = holds ?stats ?budget s phi ~env:[]
 
 let answers ?stats ?budget s phi ~vars =
-  let fv = Fp_formula.free_vars phi in
-  List.iter
-    (fun x ->
-      if not (List.mem x vars) then
-        invalid_arg (Printf.sprintf "Fp_eval.answers: free variable %S not listed" x))
-    fv;
-  let n = Structure.size s in
-  let k = List.length vars in
-  let acc = ref Tuple.Set.empty in
-  (* Shared cache: the fixpoint sets are computed once, not per tuple. *)
-  let cache = Hashtbl.create 8 in
-  Seq.iter
-    (fun tup ->
-      let env = List.combine vars (Array.to_list tup) in
-      if holds_with_cache ~cache ?stats ?budget s phi ~env then
-        acc := Tuple.Set.add tup !acc)
-    (Tuple.all n k);
-  !acc
+  Compiled.definable_relation_of ?budget (compiled ?stats ?budget s phi ~vars)

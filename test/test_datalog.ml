@@ -209,9 +209,46 @@ let prop_sg_reflexive_symmetric =
       in
       refl && sym)
 
+(* Two recursive literals in one rule: each semi-naive variant joins one
+   delta with the whole relation. The last rule has a head constant
+   outside the graph and a repeated head variable. *)
+let nonlinear_tc =
+  [
+    { head = atom "tc" [ V "x"; V "y" ]; body = [ Pos (atom "E" [ V "x"; V "y" ]) ] };
+    {
+      head = atom "tc" [ V "x"; V "y" ];
+      body = [ Pos (atom "tc" [ V "x"; V "z" ]); Pos (atom "tc" [ V "z"; V "y" ]) ];
+    };
+    {
+      head = atom "cyclic" [ C 9; V "x"; V "x" ];
+      body = [ Pos (atom "tc" [ V "x"; V "x" ]) ];
+    };
+  ]
+
+let prop_nonlinear_tc =
+  QCheck2.Test.make ~count:100 ~name:"nonlinear TC = matrix TC, both strategies"
+    gen_graph (fun g ->
+      let tc = Graph.transitive_closure g in
+      let cyclic =
+        Tuple.Set.filter_map
+          (fun t -> if t.(0) = t.(1) then Some [| 9; t.(0); t.(0) |] else None)
+          tc
+      in
+      List.for_all
+        (fun eval ->
+          let db, _ = eval nonlinear_tc (Engine.Db.of_structure g) in
+          Tuple.Set.equal (Engine.Db.find db "tc") tc
+          && Tuple.Set.equal (Engine.Db.find db "cyclic") cyclic)
+        [ Engine.naive ?budget:None; Engine.seminaive ?budget:None ])
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_tc_correct; prop_strategies_agree; prop_sg_reflexive_symmetric ]
+    [
+      prop_tc_correct;
+      prop_strategies_agree;
+      prop_sg_reflexive_symmetric;
+      prop_nonlinear_tc;
+    ]
 
 let () =
   Alcotest.run "fmtk_datalog"

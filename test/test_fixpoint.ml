@@ -10,6 +10,7 @@ module Graph = Fmtk_structure.Graph
 module Gen = Fmtk_structure.Gen
 module Eval = Fmtk_eval.Eval
 module Parser = Fmtk_logic.Parser
+module Formula = Fmtk_logic.Formula
 
 let checkb msg = Alcotest.check Alcotest.bool msg
 let checki msg = Alcotest.check Alcotest.int msg
@@ -129,6 +130,37 @@ let test_parameterized_fixpoint () =
   checkb "3 reaches 2" true (holds 3 2);
   checkb "source reaches itself" true (holds 2 2)
 
+let test_parameter_capture () =
+  (* The body rebinds the operator's parameter [s]: reachability from [s]
+     again, with [∃s] naming the predecessor. Row [s] of the table lists
+     the [t] reachable from [s] along E = {0→1, 1→2, 3→0}. *)
+  let body =
+    Fp.Or
+      ( Fp.Eq (v "y", v "s"),
+        Fp.Exists
+          ("s", Fp.And (Fp.Rel ("R", [ v "s" ]), Fp.Rel ("E", [ v "s"; v "y" ]))) )
+  in
+  let reach = Fp.Ifp ("R", [ "y" ], body, [ v "t" ]) in
+  let g = graph_of [ (0, 1); (1, 2); (3, 0) ] ~size:4 in
+  let table =
+    [|
+      [| true; true; true; false |];
+      [| false; true; true; false |];
+      [| false; false; true; false |];
+      [| true; true; true; true |];
+    |]
+  in
+  Array.iteri
+    (fun s row ->
+      Array.iteri
+        (fun t want ->
+          checkb
+            (Printf.sprintf "holds(s=%d, t=%d)" s t)
+            want
+            (Fp_eval.holds g reach ~env:[ ("s", s); ("t", t) ]))
+        row)
+    table
+
 let test_errors () =
   (try
      ignore (Fp_eval.sat (Gen.set 2) Fp.transitive_closure);
@@ -170,8 +202,153 @@ let prop_datalog_agrees =
         (Fp_eval.answers g Fp.transitive_closure ~vars:[ "u"; "v" ])
         (Fmtk_datalog.Programs.tc_of g))
 
+(* ---------- Differential: lowering vs syntactic unfolding ---------- *)
+
+(* Free variables of the random formulas. *)
+let pool = [ "x"; "y"; "s" ]
+
+(* Random FO(IFP) formulas over E: a unary fixpoint named R or S whose
+   body may hold [nest] more levels, which may rebind an outer name.
+   Quantifiers and fixpoint variables shadow the pool, so bodies read
+   pool variables as parameters and rebind them; relation variables
+   occur under negation too. A body nests at most one quantifier: the
+   oracle's unfolding stacks one copy per stage. *)
+let gen_fp ~nest =
+  let open QCheck2.Gen in
+  let rec go depth ~nest ~quant vars rels =
+    let var = oneofl vars in
+    let atom =
+      frequency
+        ((2, map2 (fun a b -> Fp.Rel ("E", [ v a; v b ])) var var)
+        :: (1, map2 (fun a b -> Fp.Eq (v a, v b)) var var)
+        ::
+        (if rels = [] then []
+         else [ (3, map2 (fun r a -> Fp.Rel (r, [ v a ])) (oneofl rels) var) ]))
+    in
+    if depth = 0 then atom
+    else
+      let sub = go (depth - 1) ~nest ~quant vars rels in
+      let bind k =
+        let* x = oneofl pool in
+        map (k x) (go (depth - 1) ~nest ~quant:false (x :: vars) rels)
+      in
+      frequency
+        [
+          (2, atom);
+          (1, map (fun f -> Fp.Not f) sub);
+          (2, map2 (fun f g -> Fp.And (f, g)) sub sub);
+          (2, map2 (fun f g -> Fp.Or (f, g)) sub sub);
+          (1, map2 (fun f g -> Fp.Implies (f, g)) sub sub);
+          ((if quant then 3 else 0), bind (fun x f -> Fp.Exists (x, f)));
+          ((if quant then 1 else 0), bind (fun x f -> Fp.Forall (x, f)));
+          ((if nest > 0 then 2 else 0), ifp (depth - 1) (nest - 1) vars rels);
+        ]
+  and ifp depth nest vars rels =
+    let* r = oneofl [ "R"; "S" ] in
+    let* x = oneofl pool in
+    let* a = oneofl vars in
+    map
+      (fun body -> Fp.Ifp (r, [ x ], body, [ v a ]))
+      (go depth ~nest ~quant:true (x :: vars) (r :: rels))
+  in
+  ifp 3 nest pool []
+
+(* Bound variables renamed apart, so that the unfolding below never moves
+   a free variable under a binder of the same name. *)
+let rename_apart f =
+  let count = ref 0 in
+  let rn env x = Option.value ~default:x (List.assoc_opt x env) in
+  let term env = function Fmtk_logic.Term.Var x -> v (rn env x) | t -> t in
+  let fresh env x =
+    incr count;
+    let y = Printf.sprintf "b%d" !count in
+    (y, (x, y) :: env)
+  in
+  let rec go env = function
+    | (Fp.True | Fp.False) as f -> f
+    | Fp.Eq (a, b) -> Fp.Eq (term env a, term env b)
+    | Fp.Rel (r, ts) -> Fp.Rel (r, List.map (term env) ts)
+    | Fp.Not f -> Fp.Not (go env f)
+    | Fp.And (f, g) -> Fp.And (go env f, go env g)
+    | Fp.Or (f, g) -> Fp.Or (go env f, go env g)
+    | Fp.Implies (f, g) -> Fp.Implies (go env f, go env g)
+    | Fp.Exists (x, f) ->
+        let y, env' = fresh env x in
+        Fp.Exists (y, go env' f)
+    | Fp.Forall (x, f) ->
+        let y, env' = fresh env x in
+        Fp.Forall (y, go env' f)
+    | Fp.Ifp (r, xs, body, args) ->
+        let ys, env' =
+          List.fold_right
+            (fun x (ys, env) ->
+              let y, env = fresh env x in
+              (y :: ys, env))
+            xs ([], env)
+        in
+        Fp.Ifp (r, ys, go env' body, List.map (term env) args)
+  in
+  go [] f
+
+(* The oracle's FO formula: each unary fixpoint unfolded n times —
+   psi_0 = false, psi_(i+1) = psi_i | body[R(u) := psi_i(u)] — which on n
+   elements reaches the fixpoint. *)
+let rec unfold n = function
+  | Fp.True -> Formula.True
+  | Fp.False -> Formula.False
+  | Fp.Eq (a, b) -> Formula.Eq (a, b)
+  | Fp.Rel (r, ts) -> Formula.Rel (r, ts)
+  | Fp.Not f -> Formula.Not (unfold n f)
+  | Fp.And (f, g) -> Formula.And (unfold n f, unfold n g)
+  | Fp.Or (f, g) -> Formula.Or (unfold n f, unfold n g)
+  | Fp.Implies (f, g) -> Formula.Implies (unfold n f, unfold n g)
+  | Fp.Exists (x, f) -> Formula.Exists (x, unfold n f)
+  | Fp.Forall (x, f) -> Formula.Forall (x, unfold n f)
+  | Fp.Ifp (r, [ x ], body, [ t ]) ->
+      let body = unfold n body in
+      let rec replace psi = function
+        | Formula.Rel (r', [ u ]) when r' = r -> Formula.subst x u psi
+        | Formula.Not f -> Formula.Not (replace psi f)
+        | Formula.And (f, g) -> Formula.And (replace psi f, replace psi g)
+        | Formula.Or (f, g) -> Formula.Or (replace psi f, replace psi g)
+        | Formula.Implies (f, g) ->
+            Formula.Implies (replace psi f, replace psi g)
+        | Formula.Exists (y, f) -> Formula.Exists (y, replace psi f)
+        | Formula.Forall (y, f) -> Formula.Forall (y, replace psi f)
+        | f -> f
+      in
+      let rec stage i psi =
+        if i = 0 then psi else stage (i - 1) (Formula.Or (psi, replace psi body))
+      in
+      Formula.subst x t (stage n Formula.False)
+  | Fp.Ifp _ -> invalid_arg "unfold: unary fixpoints only"
+
+let prop_unfolding =
+  QCheck2.Test.make ~count:500
+    ~name:"IFP lowering = syntactic unfolding under naive Eval"
+    ~print:(fun (g, phi) ->
+      Format.asprintf "%a@.%s" Structure.pp g (Fp.to_string phi))
+    QCheck2.Gen.(
+      let* n = int_range 1 4 in
+      let* edges =
+        list_size (int_range 0 (n * 2))
+          (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+      in
+      (* An unfolding grows like (occurrences + 1)^n per fixpoint level,
+         and an inner level may read the outer relation: nested
+         fixpoints are drawn on at most two elements. *)
+      let* phi = gen_fp ~nest:(if n <= 2 then 1 else 0) in
+      return (graph_of edges ~size:n, phi))
+    (fun (g, phi) ->
+      Tuple.Set.equal
+        (Fp_eval.answers g phi ~vars:pool)
+        (Eval.definable_relation g
+           (unfold (Structure.size g) (rename_apart phi))
+           ~vars:pool))
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_tc; prop_conn; prop_datalog_agrees ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_tc; prop_conn; prop_datalog_agrees; prop_unfolding ]
 
 let () =
   Alcotest.run "fmtk_fixpoint"
@@ -189,6 +366,7 @@ let () =
           Alcotest.test_case "connectivity" `Quick test_connectivity;
           Alcotest.test_case "EVEN over orders" `Quick test_even_on_orders;
           Alcotest.test_case "parameterized fixpoint" `Quick test_parameterized_fixpoint;
+          Alcotest.test_case "parameter capture" `Quick test_parameter_capture;
           Alcotest.test_case "errors" `Quick test_errors;
         ] );
       ("properties", qcheck_cases);
